@@ -18,7 +18,10 @@ import numpy as np
 from .filterbank import FilterBank, compute_filterbank
 from .lds import random_marginal_system, simulate_lds
 from .optim import lr_at, make_optimizer
-from .stu import StuParams, _alternating, recurse_outputs
+from .stu import StuParams, _outer_sum, spectral_backward
+# Layers call the shared kernel through this module-level name, which
+# perfbench's tests patch to inject a wrong-but-finite layer.
+from .stu import spectral_forward as _stu_layer_forward
 from .trainer import TrainConfig, TrainReport, TrainingDiverged
 
 TASKS = ("delayed_recall", "parity_prefix", "noisy_lds_class")
@@ -136,64 +139,21 @@ def init_stack(config: StackConfig, seed: int = 0, init_scale: float = 0.5) -> S
     )
 
 
-def _layer_filters(stu_params: StuParams, bank: FilterBank):
-    scaled = bank.scaled_phi[: stu_params.K]
-    if stu_params.M_phi_minus.shape[0]:
-        return scaled, _alternating(scaled)
-    return scaled, None
-
-
-def _fft_len(L: int, T: int) -> int:
-    n = max(L, T)
-    return 1 << (2 * n - 2).bit_length() if n > 1 else 2
-
-
-def _stu_layer_forward(layer_stu: StuParams, bank: FilterBank, x: np.ndarray):
-    """Layer forward with the filter bank fused into one kernel per (out, in)
-    channel pair in the frequency domain, so no (batch, time, K, channel)
-    tensor is ever materialized.  The cache keeps the spectra the backward
-    pass needs."""
-    B, T, C = x.shape
-    plus_f, minus_f = _layer_filters(layer_stu, bank)
-    n = _fft_len(bank.L, T)
-    xf = np.fft.rfft(x, n=n, axis=1)  # (B, F, C)
-    Ff_plus = np.fft.rfft(plus_f, n=n, axis=1)  # (K, F)
-    Ff_minus = np.fft.rfft(minus_f, n=n, axis=1) if minus_f is not None else None
-    W = np.einsum("koc,kf->foc", layer_stu.M_phi_plus, Ff_plus)
-    if Ff_minus is not None:
-        W += np.einsum("koc,kf->foc", layer_stu.M_phi_minus, Ff_minus)
-    g = x @ layer_stu.M_u[0].T
-    if T > 1:
-        g[:, 1:] += x[:, :-1] @ layer_stu.M_u[1].T
-    if T > 2:
-        g[:, 2:] += x[:, :-2] @ layer_stu.M_u[2].T
-        spec = np.fft.irfft(np.einsum("bfc,foc->bfo", xf, W), n=n, axis=1)
-        g[:, 2:] += spec[:, : T - 2]
-    y = recurse_outputs(layer_stu, g)
-    cache = {"x": x, "xf": xf, "W": W, "Ff_plus": Ff_plus, "Ff_minus": Ff_minus, "n": n, "y": y}
-    return y, cache
-
-
 def _forward_cached(model: StackModel, bank: FilterBank, inputs: np.ndarray):
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != model.config.d_in:
         raise ValueError(f"expected inputs of shape (batch, time, {model.config.d_in})")
-    if inputs.shape[1] > bank.L:
-        raise ValueError(f"sequence length {inputs.shape[1]} exceeds bank length {bank.L}")
     cfg = model.config
     x = inputs @ model.embed_W.T + model.embed_b
     caches = []
     for layer in model.layers:
         if cfg.pre_scale is not None:
             x = cfg.pre_scale * x
-        y, cache = _stu_layer_forward(layer.stu, bank, x)
+        y, stu_cache = _stu_layer_forward(layer.stu, bank, x)
         a = y @ layer.W_val.T + layer.b_val
-        z = y @ layer.W_gate.T + layer.b_gate
-        s = 1.0 / (1.0 + np.exp(-z))
-        out = a * s
-        cache.update({"a": a, "s": s})
-        caches.append(cache)
-        x = out
+        s = 1.0 / (1.0 + np.exp(-(y @ layer.W_gate.T + layer.b_gate)))
+        caches.append((stu_cache, a, s))
+        x = a * s
     if cfg.pooling == "mean":
         pooled = x.mean(axis=1)
     else:
@@ -221,72 +181,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, dlogits / B
 
 
-def _stu_layer_backward(layer_stu: StuParams, bank: FilterBank, cache: dict, dy: np.ndarray):
-    """Adjoint through one STU layer: parameter grads and the input gradient.
-
-    The spectral pieces stay in the frequency domain: the input gradient is a
-    correlation with the fused kernel, and the M_phi gradients come from the
-    Parseval pairing of the adjoint spectrum with the input spectrum.
-    """
-    x, y, xf, W, n = cache["x"], cache["y"], cache["xf"], cache["W"], cache["n"]
-    B, T, _ = dy.shape
-    if layer_stu.k_y == 0:
-        lam = dy.copy()
-        lam[:, 0::2] = np.cumsum(lam[:, 0::2][:, ::-1], axis=1)[:, ::-1]
-        lam[:, 1::2] = np.cumsum(lam[:, 1::2][:, ::-1], axis=1)[:, ::-1]
-    else:
-        lam = np.zeros_like(dy)
-        for t in range(T - 1, -1, -1):
-            acc = dy[:, t].copy()
-            for i in range(1, layer_stu.k_y + 1):
-                if t + i < T:
-                    acc += lam[:, t + i] @ layer_stu.M_y[i - 1]
-            lam[:, t] = acc
-    grads = {
-        "M_u": np.zeros_like(layer_stu.M_u),
-        "M_phi_plus": np.zeros_like(layer_stu.M_phi_plus),
-        "M_phi_minus": np.zeros_like(layer_stu.M_phi_minus),
-    }
-    grads["M_u"][0] = np.einsum("bto,bti->oi", lam, x)
-    dx = lam @ layer_stu.M_u[0]
-    if T > 1:
-        grads["M_u"][1] = np.einsum("bto,bti->oi", lam[:, 1:], x[:, :-1])
-        dx[:, :-1] += lam[:, 1:] @ layer_stu.M_u[1]
-    if T > 2:
-        grads["M_u"][2] = np.einsum("bto,bti->oi", lam[:, 2:], x[:, :-2])
-        dx[:, :-2] += lam[:, 2:] @ layer_stu.M_u[2]
-        lam_f = np.fft.rfft(lam[:, 2:], n=n, axis=1)  # (B, F, O)
-        dx += np.fft.irfft(np.einsum("bfo,foc->bfc", lam_f, np.conj(W)), n=n, axis=1)[:, :T]
-        # Parseval pairing: sum_t lam~[t] su[t] = (1/n) sum_f w_f Re(conj(Lam) xf Ff),
-        # w_f doubling the interior bins of the half spectrum.
-        pair = np.einsum("bfo,bfc->foc", np.conj(lam_f), xf)
-        w = np.full(pair.shape[0], 2.0)
-        w[0] = 1.0
-        if n % 2 == 0:
-            w[-1] = 1.0
-        pair *= w[:, None, None] / n
-        grads["M_phi_plus"] = np.einsum("kf,foc->koc", cache["Ff_plus"], pair).real
-        if cache["Ff_minus"] is not None:
-            grads["M_phi_minus"] = np.einsum("kf,foc->koc", cache["Ff_minus"], pair).real
-    if layer_stu.k_y:
-        dM_y = np.zeros_like(layer_stu.M_y)
-        for i in range(1, layer_stu.k_y + 1):
-            if T > i:
-                dM_y[i - 1] = np.einsum("bto,btc->oc", lam[:, i:], y[:, : T - i])
-        grads["M_y"] = dM_y
-    return dx, grads
-
-
 def stack_gradients(model: StackModel, bank: FilterBank, inputs: np.ndarray, labels: np.ndarray):
     """Softmax cross-entropy loss and gradients for every model array."""
     labels = np.asarray(labels)
     logits, x_final, pooled, caches = _forward_cached(model, bank, inputs)
     loss, dlogits = softmax_cross_entropy(logits, labels)
     cfg = model.config
-    grads = {
-        "readout_W": np.einsum("bn,bd->nd", dlogits, pooled),
-        "readout_b": dlogits.sum(axis=0),
-    }
+    grads = {"readout_W": dlogits.T @ pooled, "readout_b": dlogits.sum(axis=0)}
     dpooled = dlogits @ model.readout_W
     B, T, _ = x_final.shape
     dx = np.zeros_like(x_final)
@@ -296,20 +197,21 @@ def stack_gradients(model: StackModel, bank: FilterBank, inputs: np.ndarray, lab
         dx[:, -1] = dpooled
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        c = caches[i]
-        da = dx * c["s"]
-        dz = dx * c["a"] * c["s"] * (1.0 - c["s"])
-        grads[f"layers.{i}.W_val"] = np.einsum("btd,bte->de", da, c["y"])
+        stu_cache, a, s = caches[i]
+        y = stu_cache["y"]
+        da = dx * s
+        dz = dx * a * s * (1.0 - s)
+        grads[f"layers.{i}.W_val"] = _outer_sum(da, y)
         grads[f"layers.{i}.b_val"] = da.sum(axis=(0, 1))
-        grads[f"layers.{i}.W_gate"] = np.einsum("btd,bte->de", dz, c["y"])
+        grads[f"layers.{i}.W_gate"] = _outer_sum(dz, y)
         grads[f"layers.{i}.b_gate"] = dz.sum(axis=(0, 1))
         dy = da @ layer.W_val + dz @ layer.W_gate
-        dx, stu_grads = _stu_layer_backward(layer.stu, bank, c, dy)
+        dx, stu_grads = spectral_backward(layer.stu, stu_cache, dy)
         for name, g in stu_grads.items():
             grads[f"layers.{i}.stu.{name}"] = g
         if cfg.pre_scale is not None:
             dx = cfg.pre_scale * dx
-    grads["embed_W"] = np.einsum("btd,bti->di", dx, np.asarray(inputs, dtype=np.float64))
+    grads["embed_W"] = _outer_sum(dx, np.asarray(inputs, dtype=np.float64))
     grads["embed_b"] = dx.sum(axis=(0, 1))
     return loss, grads
 

@@ -1,4 +1,5 @@
-"""STU sequence layers: spectral featurization and forward passes.
+"""STU sequence layers: one fused spectral kernel and its adjoint, plus the
+explicit featurization that least squares and the oracles need.
 
 The featurization convolves the input with the fixed filters,
 
@@ -15,6 +16,28 @@ with all terms at nonpositive indices contributing zero.  The alternative
 variant drops the sign-modulated family and uses a single M_phi set; the
 autoregressive extension replaces the fixed y_{t-2} coupling with learned
 matrices over the last k_y outputs.
+
+The filters are fixed, so the whole increment g_t, taps and spectral term
+together, is one causal convolution of the input with the kernel
+h = sum_j M[j] basis[j]: M stacks M_u, M_plus and M_minus, and basis holds
+the matching lag profiles (unit impulses at lags 0, 1, 2 and the scaled
+filters delayed by two lags).  spectral_forward builds h with one matrix
+product, takes its spectrum W[f] = sum_j M[j] B_j[f], a (d_out, d_in) matrix
+per frequency bin, and applies it to the input spectrum as a matmul batched
+over bins, so no (batch, time, K, channel) tensor is ever built.
+spectral_backward is the one adjoint: the output recursion runs backwards (a
+reverse parity prefix sum, or backprop through time when M_y is learned), the
+input gradient is the correlation with the kernel (conj(W) per bin), and the
+parameter gradients come from the Parseval pairing of the adjoint spectrum
+with the input spectrum, Lam[f] conj(U[f]), taken back to lags and projected
+on each basis row.  Every contraction is a matmul.
+
+forward, stu_forward, alt_stu_forward, ar_stu_forward and the stack all run
+through this pair.  Features are still materialized by featurize and
+naive_featurize (the oracles), and by scaled_features for the trainer's
+least-squares fit and its feature-cached gradient steps, which contract
+precomputed features in increments_from_features and share the kernel's
+output recursion and its adjoint.
 """
 
 from __future__ import annotations
@@ -143,25 +166,6 @@ def convolve_filters(filters: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     return out
 
 
-def correlate_filters(filters: np.ndarray, series: np.ndarray) -> np.ndarray:
-    """Adjoint of convolve_filters: out[b, m, c] = sum_{t >= m} series[b, t, k, c] * filters[k, t - m].
-
-    series: (batch, T, K, C); returns (batch, T, C).  Used for gradients that
-    flow backwards through the fixed-filter convolution.
-    """
-    B, T, K, C = series.shape
-    _, L = filters.shape
-    n = _fft_length(max(L, T))
-    Ff = np.conj(np.fft.rfft(filters, n=n, axis=1))
-    bins = Ff.shape[1]
-    acc = np.zeros((B, bins, C), dtype=np.complex128)
-    step = _filter_chunk(bins, B, C)
-    for k0 in range(0, K, step):
-        Sf = np.fft.rfft(series[:, :, k0 : k0 + step], n=n, axis=1)
-        acc += np.einsum("bfkc,kf->bfc", Sf, Ff[k0 : k0 + step])
-    return np.ascontiguousarray(np.fft.irfft(acc, n=n, axis=1)[:, :T])
-
-
 def _alternating(filters: np.ndarray) -> np.ndarray:
     signs = (-1.0) ** np.arange(filters.shape[1])
     return filters * signs
@@ -195,14 +199,20 @@ def naive_featurize(bank: FilterBank, inputs: np.ndarray) -> SpectralFeatures:
     return SpectralFeatures(U_plus=U_plus, U_minus=U_minus)
 
 
-def _scaled_features(params: StuParams, bank: FilterBank, inputs: np.ndarray):
-    """sigma^{1/4}-scaled feature tensors for the first params.K filters."""
-    scaled = bank.scaled_phi[: params.K]
-    if params.variant is HankelVariant.PRIMARY:
-        both = np.concatenate([scaled, _alternating(scaled)], axis=0)
-        out = convolve_filters(both, inputs)
-        return out[:, :, : params.K], out[:, :, params.K :]
+def scaled_features(bank: FilterBank, K: int, inputs: np.ndarray):
+    """sigma^{1/4}-scaled plus/minus feature tensors, (batch, T, K, d_in) each,
+    for the bank's first K filters; the minus tensor is None for the
+    alternative family."""
+    scaled = bank.scaled_phi[:K]
+    if bank.variant is HankelVariant.PRIMARY:
+        both = convolve_filters(np.concatenate([scaled, _alternating(scaled)]), inputs)
+        return both[:, :, :K], both[:, :, K:]
     return convolve_filters(scaled, inputs), None
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over batch and time of a_t b_t^T: (B, T, m), (B, T, n) -> (m, n)."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
 def increments_from_features(params: StuParams, inputs, su_plus, su_minus) -> np.ndarray:
@@ -213,30 +223,10 @@ def increments_from_features(params: StuParams, inputs, su_plus, su_minus) -> np
         g[:, 1:] += inputs[:, :-1] @ params.M_u[1].T
     if T > 2:
         g[:, 2:] += inputs[:, :-2] @ params.M_u[2].T
-        g[:, 2:] += np.einsum("koc,btkc->bto", params.M_phi_plus, su_plus[:, : T - 2])
-        if su_minus is not None:
-            g[:, 2:] += np.einsum("koc,btkc->bto", params.M_phi_minus, su_minus[:, : T - 2])
+        for su, M in ((su_plus, params.M_phi_plus), (su_minus, params.M_phi_minus)):
+            if su is not None:
+                g[:, 2:] += np.tensordot(su[:, : T - 2], M, axes=([2, 3], [0, 2]))
     return g
-
-
-def affine_increments(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:
-    """Per-step increment g_t: input taps plus the (t-2)-shifted spectral term.
-
-    Every forward pass below is this increment fed through its output
-    recursion, so the increments are also the convex feature map used by the
-    least-squares trainer.
-    """
-    inputs = _check_inputs(inputs)
-    if params.variant is not bank.variant:
-        raise ValueError(f"params variant {params.variant} does not match bank {bank.variant}")
-    if params.K > bank.K:
-        raise ValueError(f"params need {params.K} filters but bank has {bank.K}")
-    if inputs.shape[1] > bank.L:
-        raise ValueError(f"sequence length {inputs.shape[1]} exceeds bank length {bank.L}")
-    if inputs.shape[2] != params.d_in:
-        raise ValueError(f"expected {params.d_in} input channels, got {inputs.shape[2]}")
-    su_plus, su_minus = _scaled_features(params, bank, inputs)
-    return increments_from_features(params, inputs, su_plus, su_minus)
 
 
 def _parity_cumsum(g: np.ndarray) -> np.ndarray:
@@ -261,21 +251,142 @@ def recurse_outputs(params: StuParams, g: np.ndarray) -> np.ndarray:
     return y
 
 
+def output_adjoint(params: StuParams, dy: np.ndarray) -> np.ndarray:
+    """Adjoint of recurse_outputs: the increment gradient dL/dg from dL/dy.
+
+    A reverse parity prefix sum for the fixed coupling; backprop through time
+    over the last k_y outputs when M_y is learned.
+    """
+    if params.k_y == 0:
+        return _parity_cumsum(dy[:, ::-1])[:, ::-1]
+    T = dy.shape[1]
+    lam = np.zeros_like(dy)
+    for t in range(T - 1, -1, -1):
+        acc = dy[:, t].copy()
+        for i in range(1, min(params.k_y, T - 1 - t) + 1):
+            acc += lam[:, t + i] @ params.M_y[i - 1]
+        lam[:, t] = acc
+    return lam
+
+
+def _m_y_grads(params: StuParams, lam: np.ndarray, y: np.ndarray) -> np.ndarray:
+    T = y.shape[1]
+    dM_y = np.zeros_like(params.M_y)
+    for i in range(1, min(params.k_y, T - 1) + 1):
+        dM_y[i - 1] = _outer_sum(lam[:, i:], y[:, : T - i])
+    return dM_y
+
+
+def tap_grads(params: StuParams, lam: np.ndarray, inputs: np.ndarray, y: np.ndarray) -> dict:
+    """Gradients of every parameter array from the increment adjoint lam, for
+    increments contracted from precomputed features: M_u and M_y are filled
+    in, the spectral matrices are left at zero for the caller."""
+    T = inputs.shape[1]
+    grads = {
+        "M_u": np.zeros_like(params.M_u),
+        "M_phi_plus": np.zeros_like(params.M_phi_plus),
+        "M_phi_minus": np.zeros_like(params.M_phi_minus),
+    }
+    for i in range(min(3, T)):
+        grads["M_u"][i] = _outer_sum(lam[:, i:], inputs[:, : T - i])
+    if params.k_y:
+        grads["M_y"] = _m_y_grads(params, lam, y)
+    return grads
+
+
+def _check_layer(params: StuParams, bank: FilterBank, inputs) -> np.ndarray:
+    inputs = _check_inputs(inputs)
+    if params.variant is not bank.variant:
+        raise ValueError(f"params variant {params.variant} does not match bank {bank.variant}")
+    if params.K > bank.K:
+        raise ValueError(f"params need {params.K} filters but bank has {bank.K}")
+    if inputs.shape[1] > bank.L:
+        raise ValueError(f"sequence length {inputs.shape[1]} exceeds bank length {bank.L}")
+    if inputs.shape[2] != params.d_in:
+        raise ValueError(f"expected {params.d_in} input channels, got {inputs.shape[2]}")
+    return inputs
+
+
+def _layer_basis(params: StuParams, bank: FilterBank, T: int) -> np.ndarray:
+    """(3 + n_filters, T) lag profiles, one per stacked parameter matrix:
+    unit impulses at lags 0, 1 and 2 for M_u, then the scaled filters (and
+    their alternating-sign copies) delayed by two lags for M_phi."""
+    filters = bank.scaled_phi[: params.K, : max(T - 2, 0)]
+    if params.variant is HankelVariant.PRIMARY:
+        filters = np.concatenate([filters, _alternating(filters)])
+    basis = np.zeros((3 + len(filters), T))
+    basis[:3] = np.eye(3, T)
+    basis[3:, 2:] = filters
+    return basis
+
+
+def spectral_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray):
+    """The STU layer output (batch, T, d_out) and the cache spectral_backward needs.
+
+    The increments g_t are one causal convolution of the input with the
+    kernel h = sum_j M[j] basis[j] (taps and spectral term together), whose
+    spectrum W[f] is a (d_out, d_in) matrix per frequency bin.  Spectra are
+    kept frequency-major, (bins, batch, channels), so applying W is a matmul
+    batched over bins.
+    """
+    x = _check_layer(params, bank, inputs)
+    T = x.shape[1]
+    n = _fft_length(T)
+    basis = _layer_basis(params, bank, T)
+    M = np.concatenate([params.M_u, params.M_phi_plus, params.M_phi_minus])
+    h = basis.T @ M.reshape(len(M), -1)  # (T, d_out * d_in)
+    W = np.fft.rfft(h, n=n, axis=0).reshape(-1, params.d_out, params.d_in)
+    xf = np.fft.rfft(x.transpose(1, 0, 2), n=n, axis=0)  # (bins, B, d_in)
+    g = np.fft.irfft(xf @ W.transpose(0, 2, 1), n=n, axis=0)[:T].transpose(1, 0, 2)
+    y = recurse_outputs(params, g)
+    return y, {"y": y, "basis": basis, "W": W, "xf": xf, "n": n}
+
+
+def spectral_backward(params: StuParams, cache: dict, dy: np.ndarray):
+    """Adjoint of spectral_forward: the input gradient and every parameter
+    gradient, given dL/dy.
+
+    With lam = dL/dg from the reversed output recursion, the input gradient
+    is the correlation of lam with the kernel (conj(W) per bin), and the
+    kernel gradient dL/dh[tau] = sum_t lam_t u_{t-tau}^T is the correlation
+    of lam with the input (Lam conj(U) per bin), projected on each basis row.
+    """
+    y, n = cache["y"], cache["n"]
+    T = y.shape[1]
+    lam = output_adjoint(params, dy)
+    lf = np.fft.rfft(lam.transpose(1, 0, 2), n=n, axis=0)  # (bins, B, d_out)
+    dx = np.fft.irfft(lf @ cache["W"].conj(), n=n, axis=0)[:T].transpose(1, 0, 2)
+    dh = np.fft.irfft(lf.transpose(0, 2, 1) @ cache["xf"].conj(), n=n, axis=0)[:T]
+    dM = (cache["basis"] @ dh.reshape(T, -1)).reshape(-1, params.d_out, params.d_in)
+    grads = {
+        "M_u": dM[:3],
+        "M_phi_plus": dM[3 : 3 + params.K],
+        "M_phi_minus": dM[3 + params.K :],
+    }
+    if params.k_y:
+        grads["M_y"] = _m_y_grads(params, lam, y)
+    return dx, grads
+
+
+def forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:
+    """Layer output for any params: autoregressive, alternative, or vanilla."""
+    return spectral_forward(params, bank, inputs)[0]
+
+
 def stu_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:
     """Vanilla forward pass (primary variant, fixed y_{t-2} coupling)."""
     if params.variant is not HankelVariant.PRIMARY:
         raise ValueError("stu_forward requires the primary variant")
     if params.M_y is not None:
         raise ValueError("params carry M_y; use ar_stu_forward")
-    # y_t = y_{t-2} + g_t resolves to a prefix sum along each parity chain.
-    return _parity_cumsum(affine_increments(params, bank, inputs))
+    return forward(params, bank, inputs)
 
 
 def ar_stu_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:
     """Forward pass with learned autoregression over the last k_y outputs."""
     if params.M_y is None or params.k_y < 1:
         raise ValueError("ar_stu_forward requires M_y with k_y >= 1")
-    return recurse_outputs(params, affine_increments(params, bank, inputs))
+    return forward(params, bank, inputs)
 
 
 def alt_stu_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:
@@ -286,16 +397,7 @@ def alt_stu_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> 
         raise ValueError("alt_stu_forward requires an alternative-variant bank")
     if params.M_y is not None:
         raise ValueError("params carry M_y; use ar_stu_forward")
-    return _parity_cumsum(affine_increments(params, bank, inputs))
-
-
-def forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:
-    """Dispatch on params: autoregressive, alternative, or vanilla."""
-    if params.k_y >= 1:
-        return ar_stu_forward(params, bank, inputs)
-    if params.variant is HankelVariant.ALTERNATIVE:
-        return alt_stu_forward(params, bank, inputs)
-    return stu_forward(params, bank, inputs)
+    return forward(params, bank, inputs)
 
 
 def save_stu_params(params: StuParams, directory) -> Path:

@@ -18,11 +18,14 @@ from .filterbank import FilterBank, HankelVariant
 from .optim import lr_at, make_optimizer
 from .stu import (
     StuParams,
-    _alternating,
     _parity_cumsum,
-    convolve_filters,
     increments_from_features,
+    output_adjoint,
     recurse_outputs,
+    scaled_features,
+    spectral_backward,
+    spectral_forward,
+    tap_grads,
 )
 from .lds import LdsParams, random_inputs, simulate_lds
 
@@ -86,84 +89,40 @@ def _check_dataset(dataset):
     return inputs, targets
 
 
-# Default learning-rate grid for synthetic-experiment sweeps.  The upper
-# values only make sense for the baseline's landscape; the unrolled convex
-# layer needs lr <= ~2e-2 (the parity prefix sum amplifies curvature).
-SYNTHETIC_LR_GRID = (5e-2, 1e-1, 5e-1, 1.0, 5.0, 10.0)
-
-
 # ---------------------------------------------------------------------------
 # STU training
 # ---------------------------------------------------------------------------
 
 
-def scaled_feature_tensors(bank: FilterBank, K: int, inputs: np.ndarray):
-    """sigma^{1/4}-scaled plus/minus feature tensors, (n, T, K, d_in) each.
-
-    The minus tensor is None for the alternative filter family.
-    """
-    scaled = bank.scaled_phi[:K]
-    if bank.variant is HankelVariant.PRIMARY:
-        both = convolve_filters(np.concatenate([scaled, _alternating(scaled)]), inputs)
-        return both[:, :, :K], both[:, :, K:]
-    return convolve_filters(scaled, inputs), None
-
-
-def _reverse_parity_cumsum(e: np.ndarray) -> np.ndarray:
-    lam = e.copy()
-    lam[:, 0::2] = np.cumsum(lam[:, 0::2][:, ::-1], axis=1)[:, ::-1]
-    lam[:, 1::2] = np.cumsum(lam[:, 1::2][:, ::-1], axis=1)[:, ::-1]
-    return lam
-
-
 def stu_loss_and_grads(params: StuParams, bank: FilterBank, inputs, targets, features=None):
     """Mean-squared-error loss and analytic gradients for every M matrix.
 
-    The unrolled output is affine in the input taps and spectral matrices, so
-    their gradients come from the chain adjoint; learned autoregression adds
-    the usual backprop-through-time term.
+    Without features this is the shared layer kernel and its adjoint.  With
+    precomputed scaled features (as from stu.scaled_features) the increments
+    and the M_phi gradients contract those instead; the output-recursion
+    adjoint and the M_u/M_y gradients are the kernel's own.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    su_plus, su_minus = features if features is not None else scaled_feature_tensors(
-        bank, params.K, inputs
-    )
-    g = increments_from_features(params, inputs, su_plus, su_minus)
-    y = recurse_outputs(params, g)
+    if features is None:
+        y, cache = spectral_forward(params, bank, inputs)
+    else:
+        su_plus, su_minus = features
+        y = recurse_outputs(params, increments_from_features(params, inputs, su_plus, su_minus))
     diff = y - targets
     N = diff.size
     loss = float(np.sum(diff * diff) / N)
     e = (2.0 / N) * diff
-    B, T, _ = g.shape
-    if params.k_y == 0:
-        lam = _reverse_parity_cumsum(e)
-    else:
-        lam = np.zeros_like(e)
-        for t in range(T - 1, -1, -1):
-            acc = e[:, t].copy()
-            for i in range(1, params.k_y + 1):
-                if t + i < T:
-                    acc += lam[:, t + i] @ params.M_y[i - 1]
-            lam[:, t] = acc
-    grads = {
-        "M_u": np.zeros_like(params.M_u),
-        "M_phi_plus": np.zeros_like(params.M_phi_plus),
-        "M_phi_minus": np.zeros_like(params.M_phi_minus),
-    }
-    grads["M_u"][0] = np.einsum("bto,bti->oi", lam, inputs)
-    if T > 1:
-        grads["M_u"][1] = np.einsum("bto,bti->oi", lam[:, 1:], inputs[:, :-1])
+    if features is None:
+        return loss, spectral_backward(params, cache, e)[1]
+    lam = output_adjoint(params, e)
+    grads = tap_grads(params, lam, inputs, y)
+    T = inputs.shape[1]
     if T > 2:
-        grads["M_u"][2] = np.einsum("bto,bti->oi", lam[:, 2:], inputs[:, :-2])
-        grads["M_phi_plus"] = np.einsum("bto,btkc->koc", lam[:, 2:], su_plus[:, : T - 2])
-        if su_minus is not None:
-            grads["M_phi_minus"] = np.einsum("bto,btkc->koc", lam[:, 2:], su_minus[:, : T - 2])
-    if params.k_y:
-        dM_y = np.zeros_like(params.M_y)
-        for i in range(1, params.k_y + 1):
-            if T > i:
-                dM_y[i - 1] = np.einsum("bto,btc->oc", lam[:, i:], y[:, : T - i])
-        grads["M_y"] = dM_y
+        for name, su in (("M_phi_plus", su_plus), ("M_phi_minus", su_minus)):
+            if su is not None:
+                pair = np.tensordot(su[:, : T - 2], lam[:, 2:], axes=([0, 1], [0, 1]))
+                grads[name] = pair.transpose(0, 2, 1)
     return loss, grads
 
 
@@ -182,7 +141,7 @@ def fit_stu(dataset, bank: FilterBank, K: int, k_y: int, config: TrainConfig) ->
     n, T, d_in = inputs.shape
     d_out = targets.shape[2]
     params = StuParams.zeros(K, d_in, d_out, variant=bank.variant, k_y=k_y)
-    su_plus, su_minus = scaled_feature_tensors(bank, K, inputs)
+    su_plus, su_minus = scaled_features(bank, K, inputs)
     rng = np.random.default_rng(config.seed)
     opt = make_optimizer(
         config.optimizer, config.weight_decay, config.beta1, config.beta2, config.eps
@@ -222,7 +181,7 @@ def _cumulative_features(bank: FilterBank, K: int, inputs: np.ndarray) -> np.nda
     scaled spectral features.  Returns (n, T, n_features).
     """
     n, T, d_in = inputs.shape
-    su_plus, su_minus = scaled_feature_tensors(bank, K, inputs)
+    su_plus, su_minus = scaled_features(bank, K, inputs)
     n_spec = K if su_minus is None else 2 * K
     streams = np.zeros((n, T, 3 + n_spec, d_in))
     streams[:, :, 0] = inputs

@@ -41,7 +41,7 @@ class TestHankelEntry:
             hankel_entry(1, -2, variant)
 
     @given(i=st.integers(1, 64), j=st.integers(1, 64), alt=st.booleans())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_symmetry(self, i, j, alt):
         v = ALT if alt else PRIMARY
         assert hankel_entry(i, j, v) == hankel_entry(j, i, v)
@@ -186,12 +186,12 @@ class TestMuVector:
         np.testing.assert_array_equal(mu_vector(-1.0, 8, ALT), np.zeros(8))
 
     @given(alpha=st.floats(0.0, 1.0))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_primary_norm_bound(self, alpha):
         assert np.sum(mu_vector(alpha, 64, PRIMARY) ** 2) <= 1.0 + 1e-12
 
     @given(alpha=st.floats(-1.0, 1.0))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_alternative_norm_bound(self, alpha):
         assert np.sum(mu_vector(alpha, 64, ALT) ** 2) <= 1.0 + 1e-12
 

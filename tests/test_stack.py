@@ -11,10 +11,9 @@ from spectral_ssm import (
     stack_gradients,
     train_stack,
 )
-from spectral_ssm import stu
 from spectral_ssm.stack import accuracy, softmax_cross_entropy, train_on_dataset
 
-from conftest import fd_gradcheck
+from conftest import fd_gradcheck, reference_stu_outputs
 
 
 def small_config(**kw):
@@ -41,7 +40,7 @@ class TestForward:
         u = rng.standard_normal((2, 24, 2))
         layer = model.layers[0]
         x = u @ model.embed_W.T + model.embed_b
-        y = stu.forward(layer.stu, bank64, x)
+        y = reference_stu_outputs(layer.stu, bank64, x)
         glu = (y @ layer.W_val.T + layer.b_val) * (
             1.0 / (1.0 + np.exp(-(y @ layer.W_gate.T + layer.b_gate)))
         )
@@ -58,6 +57,19 @@ class TestForward:
             stack_forward(model, bank64, u)[perm],
             atol=1e-12,
         )
+
+    def test_mismatched_bank_raises(self, alt_bank64):
+        # init_stack builds primary layers with K=4: an alternative bank or a
+        # bank with fewer filters is a model nobody defined.
+        model = init_stack(small_config(), seed=5)
+        u = np.zeros((2, 16, 2))
+        labels = np.array([0, 1])
+        with pytest.raises(ValueError, match="variant"):
+            stack_forward(model, alt_bank64, u)
+        with pytest.raises(ValueError, match="variant"):
+            stack_gradients(model, alt_bank64, u, labels)
+        with pytest.raises(ValueError, match="filters"):
+            stack_gradients(model, compute_filterbank(64, 3), u, labels)
 
     def test_dimension_checks(self, bank64):
         model = init_stack(small_config(), seed=5)

@@ -1,6 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from spectral_ssm import stu
 from spectral_ssm import (
     HankelVariant,
     StuParams,
@@ -13,6 +18,8 @@ from spectral_ssm import (
     save_stu_params,
     stu_forward,
 )
+
+from conftest import fd_gradcheck, reference_stu_outputs
 
 PRIMARY, ALT = HankelVariant.PRIMARY, HankelVariant.ALTERNATIVE
 
@@ -71,17 +78,6 @@ class TestFeaturize:
             featurize(bank64, np.zeros((1, 65, 1)))
         with pytest.raises(ValueError, match="exceeds bank length"):
             naive_featurize(bank64, np.zeros((1, 65, 1)))
-
-    def test_correlate_is_adjoint_of_convolve(self, bank64):
-        # <conv(f, u), w> == <u, corr(f, w)> for every filter stack.
-        from spectral_ssm.stu import convolve_filters, correlate_filters
-
-        rng = np.random.default_rng(40)
-        u = rng.standard_normal((2, 30, 3))
-        w = rng.standard_normal((2, 30, bank64.K, 3))
-        lhs = float(np.sum(convolve_filters(bank64.phi, u) * w))
-        rhs = float(np.sum(u * correlate_filters(bank64.phi, w)))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestStuForward:
@@ -228,6 +224,64 @@ class TestAltStuForward:
         expect[:, 0::2] = np.cumsum(expect[:, 0::2], axis=1)
         expect[:, 1::2] = np.cumsum(expect[:, 1::2], axis=1)
         np.testing.assert_allclose(y, expect, atol=1e-10)
+
+
+@lru_cache(maxsize=None)
+def small_bank(L, variant):
+    return compute_filterbank(L, min(L, 8), variant)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(variant, L, bank K, K, T, k_y, batch, d_in, d_out, seed) with
+    1 <= K <= bank K <= L <= 32 and 1 <= T <= L."""
+    variant = draw(st.sampled_from([PRIMARY, ALT]))
+    L = draw(st.integers(1, 32))
+    bank_K = draw(st.integers(1, min(L, 8)))
+    return (
+        variant, L, bank_K, draw(st.integers(1, bank_K)), draw(st.integers(1, L)),
+        draw(st.integers(0, 2)), draw(st.sampled_from([1, 3])),
+        draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2**16)),
+    )
+
+
+class TestSpectralKernel:
+    # The spectral term is delayed two steps: T = 1 and 2 leave it empty and
+    # T = 3 gives it one lag.  These edges always run, on both variants and
+    # every k_y.
+    @given(case=kernel_cases())
+    @example(case=(PRIMARY, 8, 4, 3, 1, 0, 1, 2, 2, 0))
+    @example(case=(ALT, 8, 4, 4, 1, 2, 3, 1, 2, 1))
+    @example(case=(PRIMARY, 8, 4, 2, 2, 1, 3, 2, 1, 2))
+    @example(case=(ALT, 8, 4, 1, 2, 0, 1, 2, 2, 3))
+    @example(case=(PRIMARY, 3, 3, 3, 3, 2, 3, 2, 2, 4))
+    @example(case=(ALT, 3, 2, 2, 3, 1, 1, 1, 1, 5))
+    @example(case=(PRIMARY, 32, 8, 8, 3, 0, 3, 2, 2, 6))
+    def test_matches_naive_reference_and_central_differences(self, case):
+        variant, L, bank_K, K, T, k_y, B, d_in, d_out, seed = case
+        bank = small_bank(L, variant).head(bank_K)
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, K, d_in, d_out, variant=variant, k_y=k_y)
+        u = rng.standard_normal((B, T, d_in))
+        y, cache = stu.spectral_forward(params, bank, u)
+        ref = reference_stu_outputs(params, bank, u)
+        assert np.abs(y - ref).max() <= 1e-10 * np.abs(ref).max()
+        # The adjoint of the linear functional <w, y> against central differences.
+        w = rng.standard_normal(y.shape)
+        dx, grads = stu.spectral_backward(params, cache, w)
+        worst = fd_gradcheck(
+            lambda: float(np.sum(w * stu.forward(params, bank, u))),
+            [(name, arr) for name, arr in params.named_arrays() if arr.size] + [("inputs", u)],
+            {**grads, "inputs": dx},
+        )
+        assert worst <= 1e-5
+
+    def test_rejects_mismatched_channels_and_length(self, bank64):
+        params = StuParams.zeros(4, 2, 3)
+        with pytest.raises(ValueError, match="channels"):
+            stu.spectral_forward(params, bank64, np.zeros((1, 8, 3)))
+        with pytest.raises(ValueError, match="exceeds bank length"):
+            stu.spectral_forward(params, bank64, np.zeros((1, 65, 2)))
 
 
 class TestStuParams:

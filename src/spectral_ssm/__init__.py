@@ -27,19 +27,15 @@ from .lds import (
 from .stu import (
     SpectralFeatures,
     StuParams,
-    alt_stu_forward,
-    ar_stu_forward,
     featurize,
     load_stu_params,
     naive_featurize,
     save_stu_params,
-    stu_forward,
 )
 from .theory import (
     ApproximationReport,
     ArRepresentation,
     TheoremBoundInputs,
-    alt_stu_from_lds,
     approximation_report,
     ar_coefficients,
     stu_from_lds,

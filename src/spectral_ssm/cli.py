@@ -216,7 +216,6 @@ def verify_theorem(systems, L, K, d_max, variant, config_path, out, seed, thread
     K_values = _parse_int_list(str(cfg["K"]))
     var = fb.HankelVariant(cfg["variant"])
     bank = fb.compute_filterbank(int(cfg["L"]), max(K_values), var)
-    build = theory.alt_stu_from_lds if var is fb.HankelVariant.ALTERNATIVE else theory.stu_from_lds
     rng_base = int(cfg["seed"])
     rows = []
     satisfied = 0
@@ -230,7 +229,7 @@ def verify_theorem(systems, L, K, d_max, variant, config_path, out, seed, thread
                                              seed=rng_base + 1000 + i, dense=bool(i % 2))
         u = lds.bounded_inputs(1, bank.L, 3, seed=rng_base + 5000 + i)
         for K_i in K_values:
-            rep = theory.approximation_report(system, build(system, bank, K_i), bank, u)
+            rep = theory.approximation_report(system, theory.stu_from_lds(system, bank, K_i), bank, u)
             rows.append((i, K_i, rep.max_err, rep.bound))
             total += 1
             satisfied += int(rep.satisfied)

@@ -1,5 +1,5 @@
-"""JSON manifest + packed little-endian float64 payload, shared by parameter
-and checkpoint serialization (mirrors the filter-bank cache layout)."""
+"""JSON manifest + packed little-endian float64 payload, shared by parameter,
+checkpoint and filter-bank serialization."""
 
 from __future__ import annotations
 
@@ -36,8 +36,9 @@ def save_arrays(directory, meta: dict, arrays: dict[str, np.ndarray]) -> Path:
 def load_arrays(directory) -> tuple[dict, dict[str, np.ndarray]]:
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported container format {manifest.get('format_version')!r}")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported container format version {version!r}")
     payload = (directory / "payload.f64le").read_bytes()
     if hashlib.sha256(payload).hexdigest() != manifest["checksum"]:
         raise ValueError(f"container checksum mismatch in {directory}")

@@ -11,8 +11,6 @@ suffices as a convolution basis for marginally stable linear systems.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +21,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.signal import fftconvolve
 
-CACHE_FORMAT_VERSION = 1
+from .container import load_arrays, save_arrays
 
 # Envelope for the eigenvalue decay: sigma_j <= DECAY_COEFF * exp(-DECAY_RATE * j / ln L).
 DECAY_COEFF = 235200.0
@@ -48,14 +46,21 @@ def _as_variant(variant) -> HankelVariant:
     return HankelVariant(str(variant).lower())
 
 
+def _entry(s, variant: HankelVariant) -> np.ndarray:
+    """Closed-form entry on the anti-diagonal i + j = s (1-based i, j),
+    elementwise over s.  Every intermediate is an integer that float64 holds
+    exactly while s^3 < 2^53, so the result does not depend on how s is built."""
+    s = np.asarray(s, dtype=np.float64)
+    if _as_variant(variant) is HankelVariant.PRIMARY:
+        return 2.0 / (s**3 - s)
+    return ((-1.0) ** s + 1.0) * 8.0 / ((s + 3.0) * (s - 1.0) * (s + 1.0))
+
+
 def hankel_entry(i: int, j: int, variant: HankelVariant = HankelVariant.PRIMARY) -> float:
     """Closed-form Hankel entry at 1-based indices (i, j)."""
     if i < 1 or j < 1:
         raise ValueError(f"indices must be >= 1, got ({i}, {j})")
-    s = i + j
-    if _as_variant(variant) is HankelVariant.PRIMARY:
-        return 2.0 / (s**3 - s)
-    return ((-1.0) ** s + 1.0) * 8.0 / ((s + 3) * (s - 1) * (s + 1))
+    return float(_entry(i + j, variant))
 
 
 def hankel_matrix(L: int, variant: HankelVariant = HankelVariant.PRIMARY) -> np.ndarray:
@@ -63,18 +68,12 @@ def hankel_matrix(L: int, variant: HankelVariant = HankelVariant.PRIMARY) -> np.
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     idx = np.arange(1, L + 1)
-    s = idx[:, None] + idx[None, :]
-    if _as_variant(variant) is HankelVariant.PRIMARY:
-        return 2.0 / (s.astype(np.float64) ** 3 - s)
-    return ((-1.0) ** s + 1.0) * 8.0 / ((s + 3.0) * (s - 1.0) * (s + 1.0))
+    return _entry(idx[:, None] + idx[None, :], variant)
 
 
 def _symbol(L: int, variant: HankelVariant) -> np.ndarray:
     """Anti-diagonal symbol w[u] = entry(i + j = u + 2), u in [0, 2L-2]."""
-    s = np.arange(2, 2 * L + 1, dtype=np.float64)
-    if _as_variant(variant) is HankelVariant.PRIMARY:
-        return 2.0 / (s**3 - s)
-    return ((-1.0) ** s + 1.0) * 8.0 / ((s + 3.0) * (s - 1.0) * (s + 1.0))
+    return _entry(np.arange(2, 2 * L + 1), variant)
 
 
 def hankel_matvec(L: int, variant: HankelVariant, v: np.ndarray) -> np.ndarray:
@@ -281,53 +280,26 @@ def projection_residual(bank: FilterBank, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# On-disk cache: meta.json + filters.f64le (K x L float64, little-endian,
-# filter-major).  Loads verify the payload checksum and eigen-residuals.
+# On-disk cache: a container (manifest.json + payload.f64le) of kind
+# "filterbank" holding sigma and phi.  Loads verify the payload checksum and
+# the eigen-residuals.
 # ---------------------------------------------------------------------------
 
 
 def save_filterbank(bank: FilterBank, directory) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload = np.ascontiguousarray(bank.phi, dtype="<f8").tobytes()
-    (directory / "filters.f64le").write_bytes(payload)
-    meta = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "L": bank.L,
-        "K": bank.K,
-        "variant": bank.variant.value,
-        "sigma": [float(s) for s in bank.sigma],
-        "checksum": hashlib.sha256(payload).hexdigest(),
-    }
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    return directory
+    meta = {"kind": "filterbank", "L": bank.L, "K": bank.K, "variant": bank.variant.value}
+    return save_arrays(directory, meta, {"sigma": bank.sigma, "phi": bank.phi})
 
 
 def load_filterbank(directory) -> FilterBank:
-    directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
-    if meta.get("format_version") != CACHE_FORMAT_VERSION:
-        raise ValueError(f"unsupported cache format version {meta.get('format_version')!r}")
-    payload = (directory / "filters.f64le").read_bytes()
-    if hashlib.sha256(payload).hexdigest() != meta["checksum"]:
-        raise ValueError(f"filter cache checksum mismatch in {directory}")
-    L, K = int(meta["L"]), int(meta["K"])
-    phi = np.frombuffer(payload, dtype="<f8").reshape(K, L).astype(np.float64)
-    sigma = np.asarray(meta["sigma"], dtype=np.float64)
-    bank = FilterBank(L=L, K=K, variant=HankelVariant(meta["variant"]), sigma=sigma, phi=phi)
+    meta, arrays = load_arrays(directory)
+    if meta.get("kind") != "filterbank":
+        raise ValueError(f"not a filter bank container: {directory}")
+    bank = FilterBank(L=int(meta["L"]), K=int(meta["K"]), variant=HankelVariant(meta["variant"]),
+                      sigma=arrays["sigma"], phi=arrays["phi"])
     bank.validate()
     return bank
 
 
 def cache_key(L: int, K: int, variant: HankelVariant) -> str:
     return f"{_as_variant(variant).value}-L{L}-K{K}"
-
-
-def cached_filterbank(L: int, K: int, variant: HankelVariant, root) -> FilterBank:
-    """Load the bank from the cache root, computing and saving it on a miss."""
-    directory = Path(root) / cache_key(L, K, variant)
-    if (directory / "meta.json").exists():
-        return load_filterbank(directory)
-    bank = compute_filterbank(L, K, variant)
-    save_filterbank(bank, directory)
-    return bank

@@ -32,12 +32,14 @@ parameter gradients come from the Parseval pairing of the adjoint spectrum
 with the input spectrum, Lam[f] conj(U[f]), taken back to lags and projected
 on each basis row.  Every contraction is a matmul.
 
-forward, stu_forward, alt_stu_forward, ar_stu_forward and the stack all run
-through this pair.  Features are still materialized by featurize and
-naive_featurize (the oracles), and by scaled_features for the trainer's
-least-squares fit and its feature-cached gradient steps, which contract
-precomputed features in increments_from_features and share the kernel's
-output recursion and its adjoint.
+forward, the stack and the trainer's default step run through this pair; the
+params and the bank alone decide the filter family and whether M_y is
+learned.  Features are still materialized by featurize and naive_featurize
+(the oracles), and by scaled_features for the trainer's least-squares fit and
+its feature-cached gradient steps.  Those use the kernel's parameter layout:
+feature_streams convolves the input with each basis row, so one contraction
+with the stacked M (stack_m) gives the increments, and one contraction with
+the increment adjoint gives the stacked gradient that split_m names.
 """
 
 from __future__ import annotations
@@ -125,10 +127,12 @@ class SpectralFeatures:
     U_minus: np.ndarray
 
 
-def _check_inputs(inputs: np.ndarray) -> np.ndarray:
+def _check_inputs(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:
         raise ValueError(f"expected inputs of shape (batch, time, channels), got {inputs.shape}")
+    if inputs.shape[1] > bank.L:
+        raise ValueError(f"sequence length {inputs.shape[1]} exceeds bank length {bank.L}")
     return inputs
 
 
@@ -173,9 +177,7 @@ def _alternating(filters: np.ndarray) -> np.ndarray:
 
 def featurize(bank: FilterBank, inputs: np.ndarray) -> SpectralFeatures:
     """FFT featurization against the bank's (unscaled) filters."""
-    inputs = _check_inputs(inputs)
-    if inputs.shape[1] > bank.L:
-        raise ValueError(f"sequence length {inputs.shape[1]} exceeds bank length {bank.L}")
+    inputs = _check_inputs(inputs, bank)
     both = np.concatenate([bank.phi, _alternating(bank.phi)], axis=0)
     out = convolve_filters(both, inputs)
     return SpectralFeatures(U_plus=out[:, :, : bank.K], U_minus=out[:, :, bank.K :])
@@ -183,10 +185,8 @@ def featurize(bank: FilterBank, inputs: np.ndarray) -> SpectralFeatures:
 
 def naive_featurize(bank: FilterBank, inputs: np.ndarray) -> SpectralFeatures:
     """Reference O(L^2) featurization by direct summation."""
-    inputs = _check_inputs(inputs)
+    inputs = _check_inputs(inputs, bank)
     B, T, C = inputs.shape
-    if T > bank.L:
-        raise ValueError(f"sequence length {T} exceeds bank length {bank.L}")
     U_plus = np.zeros((B, T, bank.K, C))
     U_minus = np.zeros((B, T, bank.K, C))
     signs = (-1.0) ** np.arange(bank.L)
@@ -215,21 +215,7 @@ def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def increments_from_features(params: StuParams, inputs, su_plus, su_minus) -> np.ndarray:
-    """Per-step increment g_t from precomputed scaled feature tensors."""
-    B, T, _ = inputs.shape
-    g = inputs @ params.M_u[0].T
-    if T > 1:
-        g[:, 1:] += inputs[:, :-1] @ params.M_u[1].T
-    if T > 2:
-        g[:, 2:] += inputs[:, :-2] @ params.M_u[2].T
-        for su, M in ((su_plus, params.M_phi_plus), (su_minus, params.M_phi_minus)):
-            if su is not None:
-                g[:, 2:] += np.tensordot(su[:, : T - 2], M, axes=([2, 3], [0, 2]))
-    return g
-
-
-def _parity_cumsum(g: np.ndarray) -> np.ndarray:
+def parity_cumsum(g: np.ndarray) -> np.ndarray:
     out = g.copy()
     out[:, 0::2] = np.cumsum(out[:, 0::2], axis=1)
     out[:, 1::2] = np.cumsum(out[:, 1::2], axis=1)
@@ -240,7 +226,7 @@ def recurse_outputs(params: StuParams, g: np.ndarray) -> np.ndarray:
     """Resolve the output recursion over the increments: a parity prefix sum
     for the fixed y_{t-2} coupling, a sequential scan when M_y is learned."""
     if params.k_y == 0:
-        return _parity_cumsum(g)
+        return parity_cumsum(g)
     B, T, _ = g.shape
     y = np.zeros_like(g)
     for t in range(T):
@@ -258,7 +244,7 @@ def output_adjoint(params: StuParams, dy: np.ndarray) -> np.ndarray:
     over the last k_y outputs when M_y is learned.
     """
     if params.k_y == 0:
-        return _parity_cumsum(dy[:, ::-1])[:, ::-1]
+        return parity_cumsum(dy[:, ::-1])[:, ::-1]
     T = dy.shape[1]
     lam = np.zeros_like(dy)
     for t in range(T - 1, -1, -1):
@@ -277,31 +263,12 @@ def _m_y_grads(params: StuParams, lam: np.ndarray, y: np.ndarray) -> np.ndarray:
     return dM_y
 
 
-def tap_grads(params: StuParams, lam: np.ndarray, inputs: np.ndarray, y: np.ndarray) -> dict:
-    """Gradients of every parameter array from the increment adjoint lam, for
-    increments contracted from precomputed features: M_u and M_y are filled
-    in, the spectral matrices are left at zero for the caller."""
-    T = inputs.shape[1]
-    grads = {
-        "M_u": np.zeros_like(params.M_u),
-        "M_phi_plus": np.zeros_like(params.M_phi_plus),
-        "M_phi_minus": np.zeros_like(params.M_phi_minus),
-    }
-    for i in range(min(3, T)):
-        grads["M_u"][i] = _outer_sum(lam[:, i:], inputs[:, : T - i])
-    if params.k_y:
-        grads["M_y"] = _m_y_grads(params, lam, y)
-    return grads
-
-
 def _check_layer(params: StuParams, bank: FilterBank, inputs) -> np.ndarray:
-    inputs = _check_inputs(inputs)
+    inputs = _check_inputs(inputs, bank)
     if params.variant is not bank.variant:
         raise ValueError(f"params variant {params.variant} does not match bank {bank.variant}")
     if params.K > bank.K:
         raise ValueError(f"params need {params.K} filters but bank has {bank.K}")
-    if inputs.shape[1] > bank.L:
-        raise ValueError(f"sequence length {inputs.shape[1]} exceeds bank length {bank.L}")
     if inputs.shape[2] != params.d_in:
         raise ValueError(f"expected {params.d_in} input channels, got {inputs.shape[2]}")
     return inputs
@@ -320,6 +287,44 @@ def _layer_basis(params: StuParams, bank: FilterBank, T: int) -> np.ndarray:
     return basis
 
 
+def stack_m(params: StuParams) -> np.ndarray:
+    """The (J, d_out, d_in) stack [M_u; M_phi_plus; M_phi_minus], one matrix
+    per _layer_basis row and feature_streams stream."""
+    return np.concatenate([params.M_u, params.M_phi_plus, params.M_phi_minus])
+
+
+def split_m(M: np.ndarray, K: int) -> dict:
+    """Name the blocks of a stack laid out as stack_m's, for K filters."""
+    return {"M_u": M[:3], "M_phi_plus": M[3 : 3 + K], "M_phi_minus": M[3 + K :]}
+
+
+def layer_grads(params: StuParams, dM: np.ndarray, lam: np.ndarray, y: np.ndarray) -> dict:
+    """Every parameter gradient: the stacked gradient dM split by name, and
+    M_y's from the increment adjoint lam and the outputs y when M_y is learned."""
+    grads = split_m(dM, params.K)
+    if params.k_y:
+        grads["M_y"] = _m_y_grads(params, lam, y)
+    return grads
+
+
+def feature_streams(inputs: np.ndarray, su_plus, su_minus) -> np.ndarray:
+    """The input convolved with each _layer_basis row, (batch, T, J, d_in),
+    assembled from scaled features (as from scaled_features; su_minus is None
+    for the alternative family): taps u_t, u_{t-1}, u_{t-2}, then the
+    features delayed two steps.  Contracted with stack_m they give the
+    increments g_t."""
+    B, T, d_in = inputs.shape
+    spectral = [su for su in (su_plus, su_minus) if su is not None]
+    streams = np.zeros((B, T, 3 + sum(su.shape[2] for su in spectral), d_in))
+    for lag in range(min(3, T)):
+        streams[:, lag:, lag] = inputs[:, : T - lag]
+    j = 3
+    for su in spectral:
+        streams[:, 2:, j : j + su.shape[2]] = su[:, : T - 2]
+        j += su.shape[2]
+    return streams
+
+
 def spectral_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray):
     """The STU layer output (batch, T, d_out) and the cache spectral_backward needs.
 
@@ -333,7 +338,7 @@ def spectral_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray):
     T = x.shape[1]
     n = _fft_length(T)
     basis = _layer_basis(params, bank, T)
-    M = np.concatenate([params.M_u, params.M_phi_plus, params.M_phi_minus])
+    M = stack_m(params)
     h = basis.T @ M.reshape(len(M), -1)  # (T, d_out * d_in)
     W = np.fft.rfft(h, n=n, axis=0).reshape(-1, params.d_out, params.d_in)
     xf = np.fft.rfft(x.transpose(1, 0, 2), n=n, axis=0)  # (bins, B, d_in)
@@ -358,46 +363,13 @@ def spectral_backward(params: StuParams, cache: dict, dy: np.ndarray):
     dx = np.fft.irfft(lf @ cache["W"].conj(), n=n, axis=0)[:T].transpose(1, 0, 2)
     dh = np.fft.irfft(lf.transpose(0, 2, 1) @ cache["xf"].conj(), n=n, axis=0)[:T]
     dM = (cache["basis"] @ dh.reshape(T, -1)).reshape(-1, params.d_out, params.d_in)
-    grads = {
-        "M_u": dM[:3],
-        "M_phi_plus": dM[3 : 3 + params.K],
-        "M_phi_minus": dM[3 + params.K :],
-    }
-    if params.k_y:
-        grads["M_y"] = _m_y_grads(params, lam, y)
-    return dx, grads
+    return dx, layer_grads(params, dM, lam, y)
 
 
 def forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:
-    """Layer output for any params: autoregressive, alternative, or vanilla."""
+    """Layer output for any params: autoregressive, alternative, or vanilla,
+    as params and bank say; spectral_forward's checks apply."""
     return spectral_forward(params, bank, inputs)[0]
-
-
-def stu_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:
-    """Vanilla forward pass (primary variant, fixed y_{t-2} coupling)."""
-    if params.variant is not HankelVariant.PRIMARY:
-        raise ValueError("stu_forward requires the primary variant")
-    if params.M_y is not None:
-        raise ValueError("params carry M_y; use ar_stu_forward")
-    return forward(params, bank, inputs)
-
-
-def ar_stu_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:
-    """Forward pass with learned autoregression over the last k_y outputs."""
-    if params.M_y is None or params.k_y < 1:
-        raise ValueError("ar_stu_forward requires M_y with k_y >= 1")
-    return forward(params, bank, inputs)
-
-
-def alt_stu_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:
-    """Forward pass for the alternative filter family (single M_phi set)."""
-    if params.variant is not HankelVariant.ALTERNATIVE:
-        raise ValueError("alt_stu_forward requires the alternative variant")
-    if bank.variant is not HankelVariant.ALTERNATIVE:
-        raise ValueError("alt_stu_forward requires an alternative-variant bank")
-    if params.M_y is not None:
-        raise ValueError("params carry M_y; use ar_stu_forward")
-    return forward(params, bank, inputs)
 
 
 def save_stu_params(params: StuParams, directory) -> Path:

@@ -63,15 +63,15 @@ def _m_u(lds: LdsParams) -> np.ndarray:
 
 
 def stu_from_lds(lds: LdsParams, bank: FilterBank, K: int) -> StuParams:
-    """STU parameters that reproduce the LDS up to the projection residual.
+    """STU parameters for the bank's filter family that reproduce the LDS up
+    to the projection residual.
 
     Input taps are CB + D, CAB, -D.  Each spectral matrix collects the rank-one
     modes c_l (x) b_l weighted by the filter overlap of the mode's impulse
-    direction, with positive and negative eigenvalues split between the plus
-    and minus families.  Requires a primary-variant bank with at least K filters.
+    direction.  The primary family splits positive and negative eigenvalues
+    between the plus and minus matrices; the alternative family's single set
+    takes every eigenvalue.  Requires a bank with at least K filters.
     """
-    if bank.variant is not HankelVariant.PRIMARY:
-        raise ValueError("stu_from_lds requires a primary-variant bank")
     if K > bank.K:
         raise ValueError(f"requested {K} filters but bank has {bank.K}")
     _check_theorem_system(lds)
@@ -80,39 +80,23 @@ def stu_from_lds(lds: LdsParams, bank: FilterBank, K: int) -> StuParams:
     if sub.sigma[-1] <= 0:
         raise ValueError("bank eigenvalues underflow; reduce K")
     scale = sub.sigma**-0.25
-    params = StuParams.zeros(K, lds.d_in, lds.d_out, variant=HankelVariant.PRIMARY)
+    params = StuParams.zeros(K, lds.d_in, lds.d_out, variant=bank.variant)
     params.M_u[:] = _m_u(lds)
+    primary = bank.variant is HankelVariant.PRIMARY
     for l, alpha in enumerate(alphas):
         # The radius check admits 1 + 1e-12 of rescaling roundoff; clip into
         # the impulse direction's domain.
-        a = min(abs(float(alpha)), 1.0)
-        weight = (a + 1.0) * (sub.phi @ mu_vector(a, bank.L, HankelVariant.PRIMARY)) * scale
-        contrib = weight[:, None, None] * np.outer(Cp[:, l], Bp[l])[None]
-        if alpha >= 0:
-            params.M_phi_plus += contrib
+        if primary:
+            a = min(abs(float(alpha)), 1.0)
+            weight = (a + 1.0) * (sub.phi @ mu_vector(a, bank.L, bank.variant)) * scale
         else:
+            a = min(max(float(alpha), -1.0), 1.0)
+            weight = (sub.phi @ mu_vector(a, bank.L, bank.variant)) * scale
+        contrib = weight[:, None, None] * np.outer(Cp[:, l], Bp[l])[None]
+        if primary and alpha < 0:
             params.M_phi_minus += contrib
-    return params
-
-
-def alt_stu_from_lds(lds: LdsParams, bank: FilterBank, K: int) -> StuParams:
-    """Alternative-family construction: one M_phi set over all eigenvalues."""
-    if bank.variant is not HankelVariant.ALTERNATIVE:
-        raise ValueError("alt_stu_from_lds requires an alternative-variant bank")
-    if K > bank.K:
-        raise ValueError(f"requested {K} filters but bank has {bank.K}")
-    _check_theorem_system(lds)
-    alphas, Bp, Cp = _eigenbasis(lds)
-    sub = bank.head(K)
-    if sub.sigma[-1] <= 0:
-        raise ValueError("bank eigenvalues underflow; reduce K")
-    scale = sub.sigma**-0.25
-    params = StuParams.zeros(K, lds.d_in, lds.d_out, variant=HankelVariant.ALTERNATIVE)
-    params.M_u[:] = _m_u(lds)
-    for l, alpha in enumerate(alphas):
-        a = min(max(float(alpha), -1.0), 1.0)
-        weight = (sub.phi @ mu_vector(a, bank.L, HankelVariant.ALTERNATIVE)) * scale
-        params.M_phi_plus += weight[:, None, None] * np.outer(Cp[:, l], Bp[l])[None]
+        else:
+            params.M_phi_plus += contrib
     return params
 
 
@@ -176,9 +160,8 @@ def constructive_k_sweep(
 ) -> list[tuple[int, float, float]]:
     """Rows (K, max_err, bound) for the constructive parameters at each K."""
     rows = []
-    build = alt_stu_from_lds if bank.variant is HankelVariant.ALTERNATIVE else stu_from_lds
     for K in K_values:
-        rep = approximation_report(lds, build(lds, bank, K), bank, inputs)
+        rep = approximation_report(lds, stu_from_lds(lds, bank, K), bank, inputs)
         rows.append((int(K), rep.max_err, rep.bound))
     return rows
 

@@ -14,18 +14,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .filterbank import FilterBank, HankelVariant
+from .filterbank import FilterBank
 from .optim import lr_at, make_optimizer
 from .stu import (
     StuParams,
-    _parity_cumsum,
-    increments_from_features,
+    feature_streams,
+    layer_grads,
     output_adjoint,
+    parity_cumsum,
     recurse_outputs,
     scaled_features,
     spectral_backward,
     spectral_forward,
-    tap_grads,
+    split_m,
+    stack_m,
 )
 from .lds import LdsParams, random_inputs, simulate_lds
 
@@ -98,17 +100,19 @@ def stu_loss_and_grads(params: StuParams, bank: FilterBank, inputs, targets, fea
     """Mean-squared-error loss and analytic gradients for every M matrix.
 
     Without features this is the shared layer kernel and its adjoint.  With
-    precomputed scaled features (as from stu.scaled_features) the increments
-    and the M_phi gradients contract those instead; the output-recursion
-    adjoint and the M_u/M_y gradients are the kernel's own.
+    precomputed scaled features (su_plus, su_minus), as from
+    stu.scaled_features, the increments are one contraction of the stacked M
+    with stu.feature_streams, and every M gradient is one contraction of
+    those streams with the increment adjoint; the output recursion, its
+    adjoint and the M_y gradient are the kernel's own.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if features is None:
         y, cache = spectral_forward(params, bank, inputs)
     else:
-        su_plus, su_minus = features
-        y = recurse_outputs(params, increments_from_features(params, inputs, su_plus, su_minus))
+        streams = feature_streams(inputs, *features)
+        y = recurse_outputs(params, np.tensordot(streams, stack_m(params), axes=([2, 3], [0, 2])))
     diff = y - targets
     N = diff.size
     loss = float(np.sum(diff * diff) / N)
@@ -116,14 +120,9 @@ def stu_loss_and_grads(params: StuParams, bank: FilterBank, inputs, targets, fea
     if features is None:
         return loss, spectral_backward(params, cache, e)[1]
     lam = output_adjoint(params, e)
-    grads = tap_grads(params, lam, inputs, y)
-    T = inputs.shape[1]
-    if T > 2:
-        for name, su in (("M_phi_plus", su_plus), ("M_phi_minus", su_minus)):
-            if su is not None:
-                pair = np.tensordot(su[:, : T - 2], lam[:, 2:], axes=([0, 1], [0, 1]))
-                grads[name] = pair.transpose(0, 2, 1)
-    return loss, grads
+    # Contiguous, so the optimizer's elementwise updates run on plain blocks.
+    dM = np.ascontiguousarray(np.tensordot(lam, streams, axes=([0, 1], [0, 1])).transpose(1, 0, 2))
+    return loss, layer_grads(params, dM, lam, y)
 
 
 def stu_mse(params: StuParams, bank: FilterBank, inputs, targets) -> float:
@@ -177,35 +176,17 @@ RIDGE_FALLBACK = 1e-8
 def _cumulative_features(bank: FilterBank, K: int, inputs: np.ndarray) -> np.ndarray:
     """Parity-prefix-summed feature streams; output y_t is linear in them.
 
-    Streams per input channel: taps u_t, u_{t-1}, u_{t-2}, then the shifted
-    scaled spectral features.  Returns (n, T, n_features).
+    The streams are stu.feature_streams, flattened stream-major over the
+    input channels.  Returns (n, T, n_features).
     """
-    n, T, d_in = inputs.shape
-    su_plus, su_minus = scaled_features(bank, K, inputs)
-    n_spec = K if su_minus is None else 2 * K
-    streams = np.zeros((n, T, 3 + n_spec, d_in))
-    streams[:, :, 0] = inputs
-    if T > 1:
-        streams[:, 1:, 1] = inputs[:, :-1]
-    if T > 2:
-        streams[:, 2:, 2] = inputs[:, :-2]
-        streams[:, 2:, 3 : 3 + K] = su_plus[:, : T - 2]
-        if su_minus is not None:
-            streams[:, 2:, 3 + K :] = su_minus[:, : T - 2]
-    flat = streams.reshape(n, T, (3 + n_spec) * d_in)
-    return _parity_cumsum(flat)
+    n, T, _ = inputs.shape
+    streams = feature_streams(inputs, *scaled_features(bank, K, inputs))
+    return parity_cumsum(streams.reshape(n, T, -1))
 
 
 def _weights_to_params(W: np.ndarray, bank_variant, K: int, d_in: int, d_out: int) -> StuParams:
-    n_spec = 2 * K if bank_variant is HankelVariant.PRIMARY else K
-    blocks = W.reshape(3 + n_spec, d_in, d_out)
-    params = StuParams.zeros(K, d_in, d_out, variant=bank_variant)
-    for i in range(3):
-        params.M_u[i] = blocks[i].T
-    params.M_phi_plus[:] = blocks[3 : 3 + K].transpose(0, 2, 1)
-    if bank_variant is HankelVariant.PRIMARY:
-        params.M_phi_minus[:] = blocks[3 + K :].transpose(0, 2, 1)
-    return params
+    M = W.reshape(-1, d_in, d_out).transpose(0, 2, 1)
+    return StuParams(variant=bank_variant, K=K, d_in=d_in, d_out=d_out, **split_m(M, K))
 
 
 def fit_stu_least_squares(dataset, bank: FilterBank, K: int) -> StuParams:

@@ -13,15 +13,15 @@ class TestGenFilters:
                        "--out", str(tmp_path))
         assert code == 0
         d = tmp_path / "primary-L32-K4"
-        assert (d / "meta.json").exists() and (d / "filters.f64le").exists()
-        meta = json.loads((d / "meta.json").read_text())
-        assert meta["L"] == 32 and meta["K"] == 4
+        assert (d / "manifest.json").exists() and (d / "payload.f64le").exists()
+        meta = json.loads((d / "manifest.json").read_text())
+        assert meta["kind"] == "filterbank" and meta["L"] == 32 and meta["K"] == 4
         assert (d / "run.json").exists()
 
     def test_env_cache_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPECTRAL_STU_CACHE", str(tmp_path / "cache"))
         assert run_cli("gen-filters", "--L", "16", "--K", "2") == 0
-        assert (tmp_path / "cache" / "primary-L16-K2" / "meta.json").exists()
+        assert (tmp_path / "cache" / "primary-L16-K2" / "manifest.json").exists()
 
     def test_loadable_by_library(self, tmp_path):
         from spectral_ssm import load_filterbank
@@ -62,6 +62,15 @@ class TestVerifyTheorem:
         rows = (tmp_path / "errors.csv").read_text().strip().splitlines()
         assert rows[0] == "system,K,max_err,bound"
         assert len(rows) == 4
+
+    def test_alternative_small_battery_passes(self, tmp_path):
+        code = run_cli("verify-theorem", "--systems", "3", "--L", "64", "--K", "8",
+                       "--d-max", "4", "--variant", "alternative", "--out", str(tmp_path),
+                       "--seed", "1")
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["variant"] == "alternative"
+        assert report["violations"] == 0 and report["checks"] == 3
 
 
 class TestVerifyAr:

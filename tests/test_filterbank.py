@@ -16,7 +16,7 @@ from spectral_ssm import (
     projection_residual,
     save_filterbank,
 )
-from spectral_ssm.filterbank import _lanczos_topk, cached_filterbank
+from spectral_ssm.filterbank import _lanczos_topk
 
 from conftest import VARIANTS
 
@@ -284,9 +284,9 @@ class TestCache:
 
     def test_checksum_mismatch(self, tmp_path, bank64):
         d = save_filterbank(bank64, tmp_path / "bank")
-        payload = bytearray((d / "filters.f64le").read_bytes())
+        payload = bytearray((d / "payload.f64le").read_bytes())
         payload[0] ^= 0xFF
-        (d / "filters.f64le").write_bytes(bytes(payload))
+        (d / "payload.f64le").write_bytes(bytes(payload))
         with pytest.raises(ValueError, match="checksum"):
             load_filterbank(d)
 
@@ -294,14 +294,15 @@ class TestCache:
         import json
 
         d = save_filterbank(bank64, tmp_path / "bank")
-        meta = json.loads((d / "meta.json").read_text())
+        meta = json.loads((d / "manifest.json").read_text())
         meta["format_version"] = 99
-        (d / "meta.json").write_text(json.dumps(meta))
+        (d / "manifest.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="version"):
             load_filterbank(d)
 
-    def test_cached_filterbank_miss_then_hit(self, tmp_path):
-        first = cached_filterbank(32, 4, PRIMARY, tmp_path)
-        assert (tmp_path / "primary-L32-K4" / "meta.json").exists()
-        second = cached_filterbank(32, 4, PRIMARY, tmp_path)
-        np.testing.assert_array_equal(first.phi, second.phi)
+    def test_rejects_other_container_kind(self, tmp_path):
+        from spectral_ssm.container import save_arrays
+
+        d = save_arrays(tmp_path / "rollout", {"kind": "lds_rollout"}, {"phi": np.zeros((1, 4))})
+        with pytest.raises(ValueError, match="not a filter bank"):
+            load_filterbank(d)

@@ -9,15 +9,13 @@ from spectral_ssm import stu
 from spectral_ssm import (
     HankelVariant,
     StuParams,
-    alt_stu_forward,
-    ar_stu_forward,
     compute_filterbank,
     featurize,
     load_stu_params,
     naive_featurize,
     save_stu_params,
-    stu_forward,
 )
+from spectral_ssm.trainer import stu_loss_and_grads
 
 from conftest import fd_gradcheck, reference_stu_outputs
 
@@ -84,14 +82,14 @@ class TestStuForward:
     def test_zero_params_zero_output(self, bank64):
         params = StuParams.zeros(8, 3, 2)
         u = np.random.default_rng(0).standard_normal((2, 48, 3))
-        np.testing.assert_array_equal(stu_forward(params, bank64, u), np.zeros((2, 48, 2)))
+        np.testing.assert_array_equal(stu.forward(params, bank64, u), np.zeros((2, 48, 2)))
 
     def test_parity_prefix_sum_with_identity_tap(self, bank64):
         params = StuParams.zeros(4, 2, 2)
         params.M_u[0] = np.eye(2)
         rng = np.random.default_rng(1)
         u = rng.standard_normal((1, 17, 2))
-        y = stu_forward(params, bank64, u)
+        y = stu.forward(params, bank64, u)
         for t in range(17):
             np.testing.assert_allclose(y[0, t], u[0, t % 2 :: 2][: t // 2 + 1].sum(axis=0), atol=1e-12)
 
@@ -101,8 +99,8 @@ class TestStuForward:
         u1 = rng.standard_normal((2, 40, 3))
         u2 = rng.standard_normal((2, 40, 3))
         np.testing.assert_allclose(
-            stu_forward(params, bank64, u1 + u2),
-            stu_forward(params, bank64, u1) + stu_forward(params, bank64, u2),
+            stu.forward(params, bank64, u1 + u2),
+            stu.forward(params, bank64, u1) + stu.forward(params, bank64, u2),
             atol=1e-10,
         )
 
@@ -115,23 +113,23 @@ class TestStuForward:
             solo = StuParams.zeros(6, 2, 2)
             getattr(solo, family)[:] = rng.standard_normal(getattr(solo, family).shape)
             getattr(base, family)[:] = getattr(solo, family)
-            y1 = stu_forward(solo, bank64, u)
+            y1 = stu.forward(solo, bank64, u)
             solo2 = solo.copy()
             getattr(solo2, family)[:] *= 2.0
-            np.testing.assert_allclose(stu_forward(solo2, bank64, u), 2.0 * y1, atol=1e-10)
+            np.testing.assert_allclose(stu.forward(solo2, bank64, u), 2.0 * y1, atol=1e-10)
             doubled_total += y1
         # components add up to the full forward pass
-        np.testing.assert_allclose(stu_forward(base, bank64, u), doubled_total, atol=1e-10)
+        np.testing.assert_allclose(stu.forward(base, bank64, u), doubled_total, atol=1e-10)
 
     def test_causality(self, bank64):
         rng = np.random.default_rng(4)
         params = random_params(rng, 8, 2, 2)
         u = rng.standard_normal((1, 30, 2))
-        y = stu_forward(params, bank64, u)
+        y = stu.forward(params, bank64, u)
         perturbed = u.copy()
         s = 17
         perturbed[0, s] += 1.0
-        y2 = stu_forward(params, bank64, perturbed)
+        y2 = stu.forward(params, bank64, perturbed)
         # FFT roundoff leaks ~1e-16 everywhere; causality holds to that level.
         np.testing.assert_allclose(y2[0, :s], y[0, :s], atol=1e-12)
         assert np.abs(y2[0, s:] - y[0, s:]).max() > 1e-3
@@ -139,15 +137,13 @@ class TestStuForward:
     def test_variant_and_k_mismatch(self, bank64, alt_bank64):
         params = StuParams.zeros(8, 2, 2)
         with pytest.raises(ValueError):
-            stu_forward(params, alt_bank64, np.zeros((1, 8, 2)))
+            stu.forward(params, alt_bank64, np.zeros((1, 8, 2)))
+        alt = StuParams.zeros(8, 2, 2, variant=ALT)
+        with pytest.raises(ValueError, match="variant"):
+            stu.forward(alt, bank64, np.zeros((1, 8, 2)))
         big = StuParams.zeros(bank64.K + 1, 2, 2)
         with pytest.raises(ValueError):
-            stu_forward(big, bank64, np.zeros((1, 8, 2)))
-
-    def test_rejects_ar_params(self, bank64):
-        params = StuParams.zeros(4, 2, 2, k_y=1)
-        with pytest.raises(ValueError, match="M_y"):
-            stu_forward(params, bank64, np.zeros((1, 8, 2)))
+            stu.forward(big, bank64, np.zeros((1, 8, 2)))
 
 
 class TestArStuForward:
@@ -159,13 +155,13 @@ class TestArStuForward:
         ar.M_y = np.zeros((2, 2, 2))
         ar.M_y[1] = np.eye(2)
         np.testing.assert_allclose(
-            ar_stu_forward(ar, bank64, u), stu_forward(plain, bank64, u), atol=1e-12
+            stu.forward(ar, bank64, u), stu.forward(plain, bank64, u), atol=1e-12
         )
 
     def test_zero_params(self, bank64):
         params = StuParams.zeros(4, 2, 2, k_y=3)
         np.testing.assert_array_equal(
-            ar_stu_forward(params, bank64, np.ones((1, 16, 2))), np.zeros((1, 16, 2))
+            stu.forward(params, bank64, np.ones((1, 16, 2))), np.zeros((1, 16, 2))
         )
 
     def test_hand_unroll_scalar(self, bank64):
@@ -174,20 +170,15 @@ class TestArStuForward:
         params.M_u[0] = np.array([[1.0]])
         u = np.zeros((1, 3, 1))
         u[0, 0, 0] = 1.0
-        y = ar_stu_forward(params, bank64, u)
+        y = stu.forward(params, bank64, u)
         np.testing.assert_allclose(y.ravel(), [1.0, 0.5, 0.25], rtol=1e-15)
-
-    def test_requires_m_y(self, bank64):
-        params = StuParams.zeros(4, 1, 1)
-        with pytest.raises(ValueError, match="k_y"):
-            ar_stu_forward(params, bank64, np.zeros((1, 4, 1)))
 
 
 class TestAltStuForward:
     def test_zero_params(self, alt_bank64):
         params = StuParams.zeros(6, 2, 2, variant=ALT)
         np.testing.assert_array_equal(
-            alt_stu_forward(params, alt_bank64, np.ones((1, 12, 2))), np.zeros((1, 12, 2))
+            stu.forward(params, alt_bank64, np.ones((1, 12, 2))), np.zeros((1, 12, 2))
         )
 
     def test_tap_only_matches_primary_behavior(self, bank64, alt_bank64):
@@ -198,16 +189,16 @@ class TestAltStuForward:
         taps = rng.standard_normal((3, 2, 2))
         alt.M_u[:], pri.M_u[:] = taps, taps
         np.testing.assert_allclose(
-            alt_stu_forward(alt, alt_bank64, u), stu_forward(pri, bank64, u), atol=1e-12
+            stu.forward(alt, alt_bank64, u), stu.forward(pri, bank64, u), atol=1e-12
         )
 
     def test_variant_checks(self, bank64, alt_bank64):
         params = StuParams.zeros(6, 2, 2, variant=ALT)
         with pytest.raises(ValueError):
-            alt_stu_forward(params, bank64, np.zeros((1, 8, 2)))
+            stu.forward(params, bank64, np.zeros((1, 8, 2)))
         pri = StuParams.zeros(6, 2, 2)
         with pytest.raises(ValueError):
-            alt_stu_forward(pri, alt_bank64, np.zeros((1, 8, 2)))
+            stu.forward(pri, alt_bank64, np.zeros((1, 8, 2)))
 
     def test_uses_plus_features_only(self, alt_bank64):
         params = StuParams.zeros(6, 1, 1, variant=ALT)
@@ -215,7 +206,7 @@ class TestAltStuForward:
         rng = np.random.default_rng(7)
         params.M_phi_plus[:] = rng.standard_normal(params.M_phi_plus.shape)
         u = rng.standard_normal((1, 20, 1))
-        y = alt_stu_forward(params, alt_bank64, u)
+        y = stu.forward(params, alt_bank64, u)
         feats = featurize(alt_bank64, u)
         scaled_plus = feats.U_plus[:, :, :6] * alt_bank64.sigma[None, None, :6, None] ** 0.25
         g = np.zeros((1, 20, 1))
@@ -273,6 +264,19 @@ class TestSpectralKernel:
             lambda: float(np.sum(w * stu.forward(params, bank, u))),
             [(name, arr) for name, arr in params.named_arrays() if arr.size] + [("inputs", u)],
             {**grads, "inputs": dx},
+        )
+        assert worst <= 1e-5
+        # The trainer's feature-cached step: the kernel path's loss, and
+        # gradients that match central differences.
+        targets = rng.standard_normal(y.shape)
+        feats = stu.scaled_features(bank, K, u)
+        loss, grads = stu_loss_and_grads(params, bank, u, targets, features=feats)
+        own_loss = stu_loss_and_grads(params, bank, u, targets)[0]
+        assert abs(loss - own_loss) <= 1e-10 * own_loss
+        worst = fd_gradcheck(
+            lambda: stu_loss_and_grads(params, bank, u, targets, features=feats)[0],
+            [(name, arr) for name, arr in params.named_arrays() if arr.size],
+            grads,
         )
         assert worst <= 1e-5
 

@@ -4,7 +4,6 @@ import pytest
 from spectral_ssm import (
     LdsParams,
     TheoremBoundInputs,
-    alt_stu_from_lds,
     approximation_report,
     ar_coefficients,
     simulate_lds,
@@ -67,6 +66,7 @@ class TestStuFromLds:
 
         lds = marginal_fixture()
         params = stu_from_lds(lds, bank256, 24)
+        assert params.variant is bank256.variant
         u = bounded_inputs(2, 256, 3, seed=1)
         rep = approximation_report(lds, params, bank256, u)
         assert rep.satisfied
@@ -77,11 +77,6 @@ class TestStuFromLds:
                         D=np.zeros((1, 1)))
         with pytest.raises(ValueError, match="radius"):
             stu_from_lds(lds, bank64, 4)
-
-    def test_requires_primary_bank(self, alt_bank64):
-        lds = LdsParams(A=np.zeros(1), B=np.ones((1, 1)), C=np.ones((1, 1)), D=np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="primary"):
-            stu_from_lds(lds, alt_bank64, 4)
 
     def test_basis_invariance(self, bank256):
         rng = np.random.default_rng(2)
@@ -116,21 +111,17 @@ class TestAltStuFromLds:
         for diag in (np.ones(3), -np.ones(3)):
             lds = LdsParams(A=diag, B=rng.standard_normal((3, 2)),
                             C=rng.standard_normal((2, 3)), D=np.zeros((2, 2)))
-            params = alt_stu_from_lds(lds, alt_bank64, 8)
+            params = stu_from_lds(lds, alt_bank64, 8)
             np.testing.assert_array_equal(params.M_phi_plus, 0.0)
 
     def test_random_system_within_bound(self, alt_bank256):
         lds = random_symmetric_system(8, 3, 3, radius=0.99, seed=10)
-        params = alt_stu_from_lds(lds, alt_bank256, 24)
+        params = stu_from_lds(lds, alt_bank256, 24)
+        assert params.variant is alt_bank256.variant
         u = bounded_inputs(1, 256, 3, seed=11)
         rep = approximation_report(lds, params, alt_bank256, u)
         assert rep.satisfied
         assert rep.constant_used == 1e6
-
-    def test_requires_alternative_bank(self, bank64):
-        lds = LdsParams(A=np.zeros(1), B=np.ones((1, 1)), C=np.ones((1, 1)), D=np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="alternative"):
-            alt_stu_from_lds(lds, bank64, 4)
 
 
 class TestApproximationReport:

@@ -15,9 +15,9 @@ from spectral_ssm import (
     k_sweep,
     lru_forward,
     marginal_fixture,
-    stu_forward,
 )
 from spectral_ssm.lds import random_inputs, simulate_lds
+from spectral_ssm.stu import forward
 from spectral_ssm.trainer import LruParams, lru_loss_and_grads, stu_loss_and_grads, stu_mse
 
 from conftest import fd_gradcheck
@@ -31,8 +31,6 @@ def make_realizable(bank, K, n=6, T=64, d_in=2, d_out=2, seed=0, k_y=0):
     if k_y:
         params.M_y *= 0.3  # keep the learned recursion stable
     inputs = rng.standard_normal((n, T, d_in))
-    from spectral_ssm.stu import forward
-
     return inputs, forward(params, bank, inputs), params
 
 
@@ -140,7 +138,7 @@ class TestLeastSquares:
         inputs, targets, _ = make_realizable(bank64, 5, n=4, T=48, seed=9)
         params = fit_stu_least_squares((inputs, targets), bank64, 5)
         np.testing.assert_allclose(
-            stu_forward(params, bank64, inputs).shape, targets.shape
+            forward(params, bank64, inputs).shape, targets.shape
         )
 
     def test_lds_dataset_residual_below_bound(self, bank256):

@@ -197,18 +197,26 @@ def _lanczos_topk(L: int, variant: HankelVariant, K: int, max_iter: int = 0, see
         beta = np.linalg.norm(r)
         betas[m] = beta
         m += 1
-        if m >= K + 2 and (m % 8 == 0 or beta < 1e-14 or m == max_iter):
+        if m >= min(K + 2, L) and (m % 8 == 0 or beta < 1e-14 or m == max_iter):
             T = np.diag(alphas[:m]) + np.diag(betas[: m - 1], 1) + np.diag(betas[: m - 1], -1)
             theta, S = eigh(T)
             theta, S = theta[::-1], S[:, ::-1]
             resids = beta * np.abs(S[-1, :K])
             top = max(1.0, theta[0])
-            if np.all(resids <= 1e-10 * top) or beta < 1e-14:
+            if np.all(resids <= 1e-10 * top):
                 phi = (Q[:m].T @ S[:, :K]).T
                 phi /= np.linalg.norm(phi, axis=1, keepdims=True)
                 return theta[:K], phi, m
         if beta < 1e-14:
-            break
+            # Breakdown: the Krylov space is invariant and the rest of the
+            # spectrum sits at the noise floor.  Fewer than K pairs are known,
+            # so go on from a fresh direction orthogonal to the space; T
+            # becomes block diagonal.
+            r = rng.standard_normal(L)
+            r -= Q[:m].T @ (Q[:m] @ r)
+            r -= Q[:m].T @ (Q[:m] @ r)
+            betas[m - 1] = 0.0
+            beta = np.linalg.norm(r)
         q = r / beta
     raise RuntimeError(f"Lanczos eigensolver did not converge after {m} iterations (L={L}, K={K})")
 

@@ -1,4 +1,5 @@
-"""Minimal in-place optimizers over named parameter arrays."""
+"""Adam, updating named parameter arrays in place, and the learning-rate
+schedules every training loop shares."""
 
 from __future__ import annotations
 
@@ -7,27 +8,14 @@ import math
 import numpy as np
 
 
-class Sgd:
-    def __init__(self, weight_decay: float = 0.0):
-        self.weight_decay = weight_decay
-
-    def step(self, named_params, grads: dict, lr: float, lr_scale: dict | None = None):
-        for name, p in named_params:
-            s = (lr_scale or {}).get(name, 1.0)
-            p -= (lr * s) * grads[name]
-            if self.weight_decay:
-                p -= (lr * s) * self.weight_decay * p
-
-
 class Adam:
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay: float = 0.0):
+    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(self, named_params, grads: dict, lr: float, lr_scale: dict | None = None):
+    def step(self, named_params, grads: dict, lr: float):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, p in named_params:
@@ -40,18 +28,7 @@ class Adam:
             v += (1 - b2) * g * g
             mhat = m / (1 - b1**self.t)
             vhat = v / (1 - b2**self.t)
-            s = (lr_scale or {}).get(name, 1.0)
-            p -= (lr * s) * mhat / (np.sqrt(vhat) + self.eps)
-            if self.weight_decay:
-                p -= (lr * s) * self.weight_decay * p  # decoupled decay
-
-
-def make_optimizer(name: str, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
-    if name == "sgd":
-        return Sgd(weight_decay=weight_decay)
-    if name == "adam":
-        return Adam(beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
-    raise ValueError(f"unknown optimizer {name!r}")
+            p -= lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, schedule: str, warmup_frac: float) -> float:

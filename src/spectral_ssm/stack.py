@@ -10,19 +10,17 @@ exists for ablations.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .filterbank import FilterBank, compute_filterbank
 from .lds import random_marginal_system, simulate_lds
-from .optim import lr_at, make_optimizer
 from .stu import StuParams, _outer_sum, spectral_backward
 # Layers call the shared kernel through this module-level name, which
 # perfbench's tests patch to inject a wrong-but-finite layer.
 from .stu import spectral_forward as _stu_layer_forward
-from .trainer import TrainConfig, TrainReport, TrainingDiverged
+from .trainer import TrainConfig, TrainReport, train
 
 TASKS = ("delayed_recall", "parity_prefix", "noisy_lds_class")
 
@@ -281,33 +279,8 @@ def train_on_dataset(
 ) -> TrainReport:
     """Mini-batch cross-entropy training of a stack model in place."""
     inputs, labels = train_data
-    n = len(labels)
-    rng = np.random.default_rng(train_config.seed)
-    opt = make_optimizer(
-        train_config.optimizer,
-        train_config.weight_decay,
-        train_config.beta1,
-        train_config.beta2,
-        train_config.eps,
-    )
-    losses = np.zeros(train_config.steps)
-    t0 = time.perf_counter()
-    for step in range(train_config.steps):
-        idx = rng.integers(0, n, size=min(train_config.batch_size, n))
-        loss, grads = stack_gradients(model, bank, inputs[idx], labels[idx])
-        losses[step] = loss
-        if not np.isfinite(loss):
-            report = TrainReport(
-                losses[: step + 1], model, time.perf_counter() - t0,
-                train_config.seed, train_config, diverged=True, divergence_step=step,
-            )
-            raise TrainingDiverged(step, report)
-        lr = lr_at(
-            step, train_config.steps, train_config.learning_rate,
-            train_config.lr_schedule, train_config.warmup_frac,
-        )
-        opt.step(list(model.named_arrays()), grads, lr)
-    report = TrainReport(losses, model, time.perf_counter() - t0, train_config.seed, train_config)
+    report = train(model, lambda idx: stack_gradients(model, bank, inputs[idx], labels[idx]),
+                   len(labels), train_config)
     report.metrics["train_accuracy"] = accuracy(model, bank, inputs, labels)
     if eval_data is not None:
         report.metrics["eval_accuracy"] = accuracy(model, bank, eval_data[0], eval_data[1])

@@ -15,10 +15,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .filterbank import FilterBank
-from .optim import lr_at, make_optimizer
+from .optim import Adam, lr_at
 from .stu import (
     StuParams,
     feature_streams,
+    forward,
     layer_grads,
     output_adjoint,
     parity_cumsum,
@@ -38,22 +39,14 @@ class TrainConfig:
     steps: int = 500
     batch_size: int = 1
     seed: int = 0
-    optimizer: str = "adam"  # "sgd" | "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     lr_schedule: str = "constant"  # | "warmup_cosine"
     warmup_frac: float = 0.1
-    my_lr_scale: float = 1.0  # relative learning rate for M_y
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.steps < 1 or self.batch_size < 1:
             raise ValueError("learning_rate, steps and batch_size must be positive")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must be in [0, 1)")
-        if self.my_lr_scale <= 0:
-            raise ValueError("my_lr_scale must be positive")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -91,6 +84,33 @@ def _check_dataset(dataset):
     return inputs, targets
 
 
+def train(params, loss_and_grads, n: int, config: TrainConfig, metrics: dict | None = None) -> TrainReport:
+    """Seeded mini-batch Adam, in place on params.named_arrays().
+
+    Each step draws config.batch_size example indices in [0, n) and calls
+    loss_and_grads(idx) -> (loss, grads keyed like named_arrays).  A
+    non-finite loss raises TrainingDiverged with the partial report.  metrics
+    is attached to the report in either case.
+    """
+    metrics = dict(metrics or {})
+    rng = np.random.default_rng(config.seed)
+    opt = Adam()
+    losses = np.zeros(config.steps)
+    t0 = time.perf_counter()
+    for step in range(config.steps):
+        loss, grads = loss_and_grads(rng.integers(0, n, size=config.batch_size))
+        losses[step] = loss
+        if not np.isfinite(loss):
+            report = TrainReport(
+                losses[: step + 1], params, time.perf_counter() - t0, config.seed, config,
+                diverged=True, divergence_step=step, metrics=metrics,
+            )
+            raise TrainingDiverged(step, report)
+        lr = lr_at(step, config.steps, config.learning_rate, config.lr_schedule, config.warmup_frac)
+        opt.step(list(params.named_arrays()), grads, lr)
+    return TrainReport(losses, params, time.perf_counter() - t0, config.seed, config, metrics=metrics)
+
+
 # ---------------------------------------------------------------------------
 # STU training
 # ---------------------------------------------------------------------------
@@ -126,8 +146,9 @@ def stu_loss_and_grads(params: StuParams, bank: FilterBank, inputs, targets, fea
 
 
 def stu_mse(params: StuParams, bank: FilterBank, inputs, targets) -> float:
-    loss, _ = stu_loss_and_grads(params, bank, inputs, targets)
-    return loss
+    """The loss of stu_loss_and_grads, without the adjoint."""
+    diff = forward(params, bank, inputs) - np.asarray(targets, dtype=np.float64)
+    return float(np.sum(diff * diff) / diff.size)
 
 
 def fit_stu(dataset, bank: FilterBank, K: int, k_y: int, config: TrainConfig) -> TrainReport:
@@ -141,28 +162,12 @@ def fit_stu(dataset, bank: FilterBank, K: int, k_y: int, config: TrainConfig) ->
     d_out = targets.shape[2]
     params = StuParams.zeros(K, d_in, d_out, variant=bank.variant, k_y=k_y)
     su_plus, su_minus = scaled_features(bank, K, inputs)
-    rng = np.random.default_rng(config.seed)
-    opt = make_optimizer(
-        config.optimizer, config.weight_decay, config.beta1, config.beta2, config.eps
-    )
-    losses = np.zeros(config.steps)
-    t0 = time.perf_counter()
-    for step in range(config.steps):
-        idx = rng.integers(0, n, size=config.batch_size)
+
+    def loss_and_grads(idx):
         feats = (su_plus[idx], None if su_minus is None else su_minus[idx])
-        loss, grads = stu_loss_and_grads(params, bank, inputs[idx], targets[idx], features=feats)
-        losses[step] = loss
-        if not np.isfinite(loss):
-            report = TrainReport(
-                losses[: step + 1], params, time.perf_counter() - t0, config.seed, config,
-                diverged=True, divergence_step=step,
-            )
-            raise TrainingDiverged(step, report)
-        lr = lr_at(step, config.steps, config.learning_rate, config.lr_schedule, config.warmup_frac)
-        opt.step(list(params.named_arrays()), grads, lr, lr_scale={"M_y": config.my_lr_scale})
-    report = TrainReport(losses, params, time.perf_counter() - t0, config.seed, config)
-    report.metrics["final_loss"] = float(losses[-1])
-    return report
+        return stu_loss_and_grads(params, bank, inputs[idx], targets[idx], features=feats)
+
+    return train(params, loss_and_grads, n, config)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +231,10 @@ def k_sweep(
 
     The dataset is n_sequences Gaussian input sequences of length bank.L, with
     targets from the exact system rollout; "ls" solves each K exactly, "sgd"
-    runs fit_stu.  noise_std adds Gaussian observation noise to the targets,
-    giving the error curve an explicit floor (the exact oracle otherwise
-    decays to the double-precision floor instead of plateauing).
+    runs fit_stu, which is gradient training with Adam despite the name.
+    noise_std adds Gaussian observation noise to the targets, giving the
+    error curve an explicit floor (the exact oracle otherwise decays to the
+    double-precision floor instead of plateauing).
     """
     K_values = [int(k) for k in K_values]
     if any(b <= a for a, b in zip(K_values, K_values[1:])):
@@ -290,12 +296,8 @@ class LruParams:
     C_re: np.ndarray  # (d_out, d_h)
     C_im: np.ndarray
     D: np.ndarray  # (d_out, d_in)
-    gamma_mode: str = "coupled"  # "off" | "coupled"
+    gamma_norm: bool = True
     stable_exp: bool = True
-
-    def __post_init__(self):
-        if self.gamma_mode not in ("off", "coupled"):
-            raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
 
     def lam_polar(self):
         """(magnitude, phase) of the diagonal eigenvalues."""
@@ -305,7 +307,7 @@ class LruParams:
 
     def gamma(self) -> np.ndarray:
         mag, _ = self.lam_polar()
-        if self.gamma_mode == "coupled":
+        if self.gamma_norm:
             return np.sqrt(np.maximum(1.0 - mag**2, 0.0))
         return np.ones_like(mag)
 
@@ -316,7 +318,7 @@ class LruParams:
     def copy(self) -> "LruParams":
         return LruParams(
             **{name: arr.copy() for name, arr in self.named_arrays()},
-            gamma_mode=self.gamma_mode,
+            gamma_norm=self.gamma_norm,
             stable_exp=self.stable_exp,
         )
 
@@ -347,7 +349,7 @@ def init_lru_params(
         C_re=rng.standard_normal((d_out, d_hidden)) / np.sqrt(d_hidden),
         C_im=rng.standard_normal((d_out, d_hidden)) / np.sqrt(d_hidden),
         D=np.zeros((d_out, d_in)),
-        gamma_mode="coupled" if options.gamma_norm else "off",
+        gamma_norm=options.gamma_norm,
         stable_exp=options.stable_exp,
     )
 
@@ -425,7 +427,7 @@ def lru_loss_and_grads(params: LruParams, inputs, targets):
     mag, theta = params.lam_polar()
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     d_mag = d_lam_re * cos_t + d_lam_im * sin_t
-    if params.gamma_mode == "coupled":
+    if params.gamma_norm:
         d_mag = d_mag - d_gamma * mag / np.maximum(gamma, 1e-30)
     d_theta = -d_lam_re * mag * sin_t + d_lam_im * mag * cos_t
     if params.stable_exp:
@@ -448,29 +450,11 @@ def fit_lru(dataset, d_hidden: int, config: TrainConfig, options: LruOptions | N
     n = inputs.shape[0]
     d_in, d_out = inputs.shape[2], targets.shape[2]
     params = init_lru_params(d_hidden, d_in, d_out, options, config.seed)
-    rng = np.random.default_rng(config.seed)
-    opt = make_optimizer(
-        config.optimizer, config.weight_decay, config.beta1, config.beta2, config.eps
-    )
-    losses = np.zeros(config.steps)
-    t0 = time.perf_counter()
-    for step in range(config.steps):
-        idx = rng.integers(0, n, size=config.batch_size)
+
+    def loss_and_grads(idx):
         mag, _ = params.lam_polar()
-        loss = np.inf
-        if np.all(mag < 1.0) and np.all(np.isfinite(mag)):
-            loss, grads = lru_loss_and_grads(params, inputs[idx], targets[idx])
-        losses[step] = loss
-        if not np.isfinite(loss):
-            report = TrainReport(
-                losses[: step + 1], params, time.perf_counter() - t0, config.seed, config,
-                diverged=True, divergence_step=step,
-            )
-            report.metrics["options"] = options.to_dict()
-            raise TrainingDiverged(step, report)
-        lr = lr_at(step, config.steps, config.learning_rate, config.lr_schedule, config.warmup_frac)
-        opt.step(list(params.named_arrays()), grads, lr)
-    report = TrainReport(losses, params, time.perf_counter() - t0, config.seed, config)
-    report.metrics["final_loss"] = float(losses[-1])
-    report.metrics["options"] = options.to_dict()
-    return report
+        if not (np.all(mag < 1.0) and np.all(np.isfinite(mag))):
+            return np.inf, None  # an unstable eigenvalue counts as divergence
+        return lru_loss_and_grads(params, inputs[idx], targets[idx])
+
+    return train(params, loss_and_grads, n, config, metrics={"options": options.to_dict()})

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import eigvalsh
 
 from spectral_ssm import (
     HankelVariant,
@@ -146,6 +147,42 @@ class TestComputeFilterbank:
         lcz = compute_filterbank(512, 8, PRIMARY, method="lanczos")
         np.testing.assert_allclose(lcz.sigma, dense.sigma, rtol=1e-9)
         np.testing.assert_allclose(lcz.phi, dense.phi, atol=1e-7)
+
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        shape=st.integers(1, 512).flatmap(lambda L: st.tuples(st.just(L), st.integers(1, L))),
+    )
+    @example(variant=PRIMARY, shape=(64, 16))
+    @example(variant=ALT, shape=(64, 16))
+    @example(variant=PRIMARY, shape=(256, 256))
+    @example(variant=ALT, shape=(256, 255))
+    @example(variant=PRIMARY, shape=(1, 1))
+    @example(variant=ALT, shape=(2, 2))
+    @example(variant=PRIMARY, shape=(2, 1))
+    @example(variant=PRIMARY, shape=(3, 3))
+    @example(variant=ALT, shape=(3, 2))
+    @settings(max_examples=25)
+    def test_lanczos_matches_dense_past_the_numerical_rank(self, variant, shape):
+        # K may exceed the numerical rank, where Lanczos breaks down and must
+        # restart.  Lanczos accepts Ritz pairs with residuals below tol, so each
+        # eigenvalue is within tol of dense and each eigenvector within
+        # sqrt(2) tol / gap, the gap being to the rest of the spectrum.
+        L, K = shape
+        dense = compute_filterbank(L, K, variant, method="dense")
+        lcz = compute_filterbank(L, K, variant, method="lanczos")  # validate() runs inside
+        tol = 1e-10 * max(1.0, dense.sigma[0])
+        np.testing.assert_allclose(lcz.sigma, dense.sigma, rtol=0, atol=tol)
+        spectrum = np.append(eigvalsh(hankel_matrix(L, variant)), np.inf)  # L = 1 has no gap
+        gaps = np.array([np.partition(np.abs(spectrum - s), 1)[1] for s in dense.sigma])
+        err = np.abs(lcz.phi - dense.phi).max(axis=1)
+        assert np.all(err <= 2 * tol / gaps), np.max(err * gaps / tol)
+
+    def test_auto_lanczos_past_the_numerical_rank(self):
+        # Above DENSE_EIGH_MAX, K = 32 exceeds the numerical rank at L = 8192;
+        # validate() runs inside.
+        full = compute_filterbank(8192, 32)
+        head = compute_filterbank(8192, 16)
+        np.testing.assert_allclose(full.sigma[:16], head.sigma, rtol=0, atol=2e-10)
 
     def test_lanczos_nonconvergence_reports_iterations(self):
         with pytest.raises(RuntimeError, match=r"\d+ iterations"):

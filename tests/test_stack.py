@@ -4,6 +4,7 @@ import pytest
 from spectral_ssm import (
     StackConfig,
     TrainConfig,
+    TrainingDiverged,
     compute_filterbank,
     init_stack,
     make_task_dataset,
@@ -201,6 +202,18 @@ class TestTraining:
         r1 = train_on_dataset(init_stack(cfg, seed=7), bank, (u, labels), tc)
         r2 = train_on_dataset(init_stack(cfg, seed=7), bank, (u, labels), tc)
         np.testing.assert_array_equal(r1.loss_curve, r2.loss_curve)
+
+    def test_divergence_reports_partial_curve(self):
+        bank = compute_filterbank(32, 4)
+        u, labels, _ = make_task_dataset("parity_prefix", 16, 32, seed=5)
+        cfg = StackConfig(n_layers=1, d_model=4, K=4, d_in=1, n_classes=2)
+        tc = TrainConfig(learning_rate=1e200, steps=50, batch_size=8, seed=7)
+        with pytest.raises(TrainingDiverged) as err, np.errstate(over="ignore", invalid="ignore"):
+            train_on_dataset(init_stack(cfg, seed=7), bank, (u, labels), tc)
+        report = err.value.report
+        assert report.diverged and report.divergence_step == err.value.step
+        assert len(report.loss_curve) == err.value.step + 1
+        assert not np.isfinite(report.loss_curve[-1])
 
     def test_random_labels_give_chance_accuracy(self):
         rng = np.random.default_rng(6)

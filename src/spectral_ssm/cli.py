@@ -462,7 +462,6 @@ def _write_report(run: RunContext, report, extra: dict | None = None, params: bo
     from . import container
 
     doc = {
-        "seed": report.seed,
         "config": report.config.to_dict(),
         "diverged": report.diverged,
         "divergence_step": report.divergence_step,

@@ -70,26 +70,44 @@ class LdsParams:
         return x @ self.A.T
 
 
+def linear_scan(a: np.ndarray, b: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Solve x_t = a x_{t-1} + b_t along axis 1 of b (batch, time, d) from
+    x_{-1} = 0, or x_t = a x_{t+1} + b_t from x_T = 0 with reverse.
+
+    a is a diagonal (d,) vector or a dense (d, d) matrix, real or complex.
+    The scan takes ceil(log2 T) doubling steps: after the step at offset k
+    each x_t holds sum_{j < 2k} a^j b_{t-j}.  A power of a is formed only
+    if a later step uses it, so none exceeds a^(T-1), the highest power the
+    recursion itself applies.
+    """
+    x = np.array(b, dtype=np.result_type(a, b))
+    power = np.asarray(a)
+    T = x.shape[1]
+    k = 1
+    while k < T:
+        dst, src = (slice(0, T - k), slice(k, T)) if reverse else (slice(k, T), slice(0, T - k))
+        x[:, dst] += x[:, src] @ power.T if power.ndim == 2 else x[:, src] * power
+        k *= 2
+        if k < T:
+            power = power @ power if power.ndim == 2 else power * power
+    return x
+
+
 def simulate_lds(params: LdsParams, inputs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
     """Exact rollout x_t = A x_{t-1} + B u_t, y_t = C x_t + D u_t.
 
+    The states come from one linear_scan, with x0 folded into the first
+    step's input as B u_0 + A x0; the result is the rollout itself, not an
+    approximation, up to the summation order of the scan.
     inputs: (batch, time, d_in); returns (batch, time, d_out). x0 defaults to zero.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != params.d_in:
         raise ValueError(f"expected inputs of shape (batch, time, {params.d_in}), got {inputs.shape}")
-    batch, T, _ = inputs.shape
-    if x0 is None:
-        x = np.zeros((batch, params.d_hidden))
-    else:
-        x = np.broadcast_to(np.asarray(x0, dtype=np.float64), (batch, params.d_hidden)).copy()
-    out = np.empty((batch, T, params.d_out))
     Bu = inputs @ params.B.T
-    Du = inputs @ params.D.T
-    for t in range(T):
-        x = params.apply_a(x) + Bu[:, t]
-        out[:, t] = x @ params.C.T + Du[:, t]
-    return out
+    if x0 is not None:
+        Bu[:, 0] += params.apply_a(np.asarray(x0, dtype=np.float64))
+    return linear_scan(params.A, Bu) @ params.C.T + inputs @ params.D.T
 
 
 def random_marginal_system(

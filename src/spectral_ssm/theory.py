@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .filterbank import FilterBank, HankelVariant, mu_vector
 from .lds import LdsParams, markov_params, simulate_lds
@@ -178,20 +179,17 @@ class ArRepresentation:
         return self.alpha.shape[0]
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
+        """Outputs from zero initial conditions.  The input part
+        sum_j Gamma_j u_{t-j} is d + 1 shifted products; the output recursion
+        is one IIR filter with denominator 1 - sum_i alpha_i z^{-i}."""
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 3:
             raise ValueError("expected inputs of shape (batch, time, channels)")
-        B, T, _ = inputs.shape
-        d = self.order
-        y = np.zeros((B, T, self.Gamma.shape[1]))
-        for t in range(T):
-            acc = inputs[:, t] @ self.Gamma[0].T
-            for j in range(1, min(d, t) + 1):
-                acc = acc + inputs[:, t - j] @ self.Gamma[j].T
-            for i in range(1, min(d, t) + 1):
-                acc = acc + self.alpha[i - 1] * y[:, t - i]
-            y[:, t] = acc
-        return y
+        T = inputs.shape[1]
+        v = inputs @ self.Gamma[0].T
+        for j in range(1, min(self.order, T - 1) + 1):
+            v[:, j:] += inputs[:, : T - j] @ self.Gamma[j].T
+        return lfilter([1.0], np.concatenate(([1.0], -self.alpha)), v, axis=1)
 
 
 def characteristic_polynomial(lds: LdsParams) -> np.ndarray:

@@ -30,7 +30,7 @@ from .stu import (
     split_m,
     stack_m,
 )
-from .lds import LdsParams, random_inputs, simulate_lds
+from .lds import LdsParams, linear_scan, random_inputs, simulate_lds
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class TrainReport:
     loss_curve: np.ndarray
     final_params: object
     wall_time: float
-    seed: int
     config: TrainConfig
     diverged: bool = False
     divergence_step: int | None = None
@@ -102,13 +101,13 @@ def train(params, loss_and_grads, n: int, config: TrainConfig, metrics: dict | N
         losses[step] = loss
         if not np.isfinite(loss):
             report = TrainReport(
-                losses[: step + 1], params, time.perf_counter() - t0, config.seed, config,
+                losses[: step + 1], params, time.perf_counter() - t0, config,
                 diverged=True, divergence_step=step, metrics=metrics,
             )
             raise TrainingDiverged(step, report)
         lr = lr_at(step, config.steps, config.learning_rate, config.lr_schedule, config.warmup_frac)
         opt.step(list(params.named_arrays()), grads, lr)
-    return TrainReport(losses, params, time.perf_counter() - t0, config.seed, config, metrics=metrics)
+    return TrainReport(losses, params, time.perf_counter() - t0, config, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +115,36 @@ def train(params, loss_and_grads, n: int, config: TrainConfig, metrics: dict | N
 # ---------------------------------------------------------------------------
 
 
+def _mse(y: np.ndarray, targets: np.ndarray):
+    """Mean squared error of y against targets, and its gradient in y."""
+    diff = y - targets
+    return float(np.sum(diff * diff) / diff.size), (2.0 / diff.size) * diff
+
+
 def stu_loss_and_grads(params: StuParams, bank: FilterBank, inputs, targets, features=None):
     """Mean-squared-error loss and analytic gradients for every M matrix.
 
     Without features this is the shared layer kernel and its adjoint.  With
     precomputed scaled features (su_plus, su_minus), as from
-    stu.scaled_features, the increments are one contraction of the stacked M
-    with stu.feature_streams, and every M gradient is one contraction of
-    those streams with the increment adjoint; the output recursion, its
-    adjoint and the M_y gradient are the kernel's own.
+    stu.scaled_features, it is _streams_loss_and_grads on their
+    stu.feature_streams.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if features is None:
-        y, cache = spectral_forward(params, bank, inputs)
-    else:
-        streams = feature_streams(inputs, *features)
-        y = recurse_outputs(params, np.tensordot(streams, stack_m(params), axes=([2, 3], [0, 2])))
-    diff = y - targets
-    N = diff.size
-    loss = float(np.sum(diff * diff) / N)
-    e = (2.0 / N) * diff
-    if features is None:
-        return loss, spectral_backward(params, cache, e)[1]
+    if features is not None:
+        return _streams_loss_and_grads(params, feature_streams(inputs, *features), targets)
+    y, cache = spectral_forward(params, bank, inputs)
+    loss, e = _mse(y, targets)
+    return loss, spectral_backward(params, cache, e)[1]
+
+
+def _streams_loss_and_grads(params: StuParams, streams: np.ndarray, targets):
+    """stu_loss_and_grads on stu.feature_streams: the increments are one
+    contraction of the streams with the stacked M, and every M gradient is
+    one contraction of those streams with the increment adjoint; the output
+    recursion, its adjoint and the M_y gradient are the kernel's own."""
+    y = recurse_outputs(params, np.tensordot(streams, stack_m(params), axes=([2, 3], [0, 2])))
+    loss, e = _mse(y, targets)
     lam = output_adjoint(params, e)
     # Contiguous, so the optimizer's elementwise updates run on plain blocks.
     dM = np.ascontiguousarray(np.tensordot(lam, streams, axes=([0, 1], [0, 1])).transpose(1, 0, 2))
@@ -155,17 +161,17 @@ def fit_stu(dataset, bank: FilterBank, K: int, k_y: int, config: TrainConfig) ->
     """Gradient training of a single STU layer (k_y = 0 keeps the fixed
     y_{t-2} coupling and the problem convex; k_y >= 1 learns M_y).
 
-    All matrices start at zero.  Features are computed once per dataset.
+    All matrices start at zero.  The feature streams are built once per
+    dataset; each step indexes them.
     """
     inputs, targets = _check_dataset(dataset)
     n, T, d_in = inputs.shape
     d_out = targets.shape[2]
     params = StuParams.zeros(K, d_in, d_out, variant=bank.variant, k_y=k_y)
-    su_plus, su_minus = scaled_features(bank, K, inputs)
+    streams = feature_streams(inputs, *scaled_features(bank, K, inputs))
 
     def loss_and_grads(idx):
-        feats = (su_plus[idx], None if su_minus is None else su_minus[idx])
-        return stu_loss_and_grads(params, bank, inputs[idx], targets[idx], features=feats)
+        return _streams_loss_and_grads(params, streams[idx], targets[idx])
 
     return train(params, loss_and_grads, n, config)
 
@@ -355,26 +361,18 @@ def init_lru_params(
 
 
 def _lru_scan(params: LruParams, inputs: np.ndarray):
+    """The readout Re(C x_t) + D u_t over the complex states of
+    x_t = lambda x_{t-1} + gamma (B u_t), solved by one linear_scan.
+
+    Returns (outputs, (lambda, gamma, B u, x)), the cache of the adjoint.
+    """
     mag, theta = params.lam_polar()
-    lam_re, lam_im = mag * np.cos(theta), mag * np.sin(theta)
+    lam = mag * np.exp(1j * theta)
     gamma = params.gamma()
-    B, T, _ = inputs.shape
-    d_h = params.nu_log.shape[0]
-    s_re = inputs @ params.B_re.T
-    s_im = inputs @ params.B_im.T
-    x_re = np.zeros((B, T, d_h))
-    x_im = np.zeros((B, T, d_h))
-    cr = np.zeros((B, d_h))
-    ci = np.zeros((B, d_h))
-    for t in range(T):
-        cr, ci = (
-            lam_re * cr - lam_im * ci + gamma * s_re[:, t],
-            lam_re * ci + lam_im * cr + gamma * s_im[:, t],
-        )
-        x_re[:, t] = cr
-        x_im[:, t] = ci
-    out = x_re @ params.C_re.T - x_im @ params.C_im.T + inputs @ params.D.T
-    return out, (lam_re, lam_im, gamma, s_re, s_im, x_re, x_im)
+    s = inputs @ (params.B_re + 1j * params.B_im).T
+    x = linear_scan(lam, gamma * s)
+    out = (x @ (params.C_re + 1j * params.C_im).T).real + inputs @ params.D.T
+    return out, (lam, gamma, s, x)
 
 
 def lru_forward(params: LruParams, inputs: np.ndarray) -> np.ndarray:
@@ -393,43 +391,24 @@ def lru_loss_and_grads(params: LruParams, inputs, targets):
     including the gamma normalization coupling when enabled."""
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    out, cache = _lru_scan(params, inputs)
-    lam_re, lam_im, gamma, s_re, s_im, x_re, x_im = cache
-    diff = out - targets
-    N = diff.size
-    loss = float(np.sum(diff * diff) / N)
-    g = (2.0 / N) * diff
-    B, T, _ = inputs.shape
-    d_h = params.nu_log.shape[0]
-    grads = {
-        "D": np.einsum("bto,bti->oi", g, inputs),
-        "C_re": np.einsum("bto,bth->oh", g, x_re),
-        "C_im": -np.einsum("bto,bth->oh", g, x_im),
-    }
-    R = np.zeros((B, T, d_h))
-    Q = np.zeros((B, T, d_h))
-    r = np.zeros((B, d_h))
-    q = np.zeros((B, d_h))
-    for t in range(T - 1, -1, -1):
-        r, q = (
-            g[:, t] @ params.C_re + lam_re * r + lam_im * q,
-            -(g[:, t] @ params.C_im) - lam_im * r + lam_re * q,
-        )
-        R[:, t] = r
-        Q[:, t] = q
-    x_re_prev = np.concatenate([np.zeros((B, 1, d_h)), x_re[:, :-1]], axis=1)
-    x_im_prev = np.concatenate([np.zeros((B, 1, d_h)), x_im[:, :-1]], axis=1)
-    d_lam_re = np.einsum("bth,bth->h", R, x_re_prev) + np.einsum("bth,bth->h", Q, x_im_prev)
-    d_lam_im = -np.einsum("bth,bth->h", R, x_im_prev) + np.einsum("bth,bth->h", Q, x_re_prev)
-    grads["B_re"] = np.einsum("bth,bti->hi", R * gamma, inputs)
-    grads["B_im"] = np.einsum("bth,bti->hi", Q * gamma, inputs)
-    d_gamma = np.einsum("bth,bth->h", R, s_re) + np.einsum("bth,bth->h", Q, s_im)
+    out, (lam, gamma, s, x) = _lru_scan(params, inputs)
+    loss, g = _mse(out, targets)
+    # z_t = dL/dRe(x_t) + i dL/dIm(x_t) obeys z_t = conj(lambda) z_{t+1} + conj(C)^T g_t.
+    z = linear_scan(lam.conj(), g @ (params.C_re - 1j * params.C_im), reverse=True)
+    over_bt = ([0, 1], [0, 1])
+    dC = np.tensordot(g, x, axes=over_bt)
+    dB = gamma[:, None] * np.tensordot(z, inputs, axes=over_bt)
+    grads = {"D": np.tensordot(g, inputs, axes=over_bt), "C_re": dC.real, "C_im": -dC.imag,
+             "B_re": dB.real, "B_im": dB.imag}
+    d_lam = np.einsum("bth,bth->h", z[:, 1:], x[:, :-1].conj())
+    d_gamma = np.einsum("bth,bth->h", z, s.conj()).real
     mag, theta = params.lam_polar()
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    d_mag = d_lam_re * cos_t + d_lam_im * sin_t
+    # Real and imaginary parts are the gradients of |lambda| and of the phase / |lambda|.
+    rotated = d_lam * np.exp(-1j * theta)
+    d_mag = rotated.real
     if params.gamma_norm:
         d_mag = d_mag - d_gamma * mag / np.maximum(gamma, 1e-30)
-    d_theta = -d_lam_re * mag * sin_t + d_lam_im * mag * cos_t
+    d_theta = rotated.imag * mag
     if params.stable_exp:
         grads["nu_log"] = d_mag * (-np.exp(params.nu_log) * mag)
         grads["theta_log"] = d_theta * theta

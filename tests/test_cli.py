@@ -114,6 +114,7 @@ class TestFitCommands:
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert not report["diverged"]
+        assert "seed" not in report and report["config"]["seed"] == 0
         loss_lines = (tmp_path / "loss.csv").read_text().strip().splitlines()
         assert loss_lines[0] == "step,loss"
         assert len(loss_lines) == 6

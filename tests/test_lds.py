@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spectral_ssm import (
     LdsParams,
@@ -10,11 +14,33 @@ from spectral_ssm import (
     save_lds_json,
     simulate_lds,
 )
-from spectral_ssm.lds import bounded_inputs, random_inputs
+from spectral_ssm.lds import bounded_inputs, linear_scan, random_inputs
+
+from conftest import loop_scan, loop_simulate_lds, rel_error
+
+SCAN_RTOL = 1e-12
+RADII = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
 
 
 def scalar_system(a=0.5, b=1.0, c=1.0, d=0.0):
     return LdsParams(A=np.array([a]), B=np.array([[b]]), C=np.array([[c]]), D=np.array([[d]]))
+
+
+def symmetric_a(d, rho, dense, rng):
+    """A diagonal vector or dense symmetric matrix with spectral radius rho."""
+    eig = rho * rng.uniform(-1.0, 1.0, d)
+    eig[0] = rho * rng.choice([-1.0, 1.0])
+    if not dense:
+        return eig
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    A = (Q * eig) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+def random_system(A, d_in, d_out, rng):
+    d = A.shape[0]
+    return LdsParams(A=A, B=rng.standard_normal((d, d_in)), C=rng.standard_normal((d_out, d)),
+                     D=rng.standard_normal((d_out, d_in)))
 
 
 def markov_convolve(mats, inputs):
@@ -82,6 +108,56 @@ class TestSimulate:
         for t in range(1024):
             x = params.A * x + params.B @ u[0, t]
             assert np.linalg.norm(x) <= (t + 1) * bound_per_step + 1e-9
+
+
+class TestLinearScan:
+    @given(kind=st.sampled_from(["diagonal", "complex", "dense"]), d=st.integers(1, 6),
+           T=st.integers(1, 70), B=st.sampled_from([1, 3]), rho=RADII, reverse=st.booleans(),
+           seed=st.integers(0, 2**16))
+    @example(kind="diagonal", d=3, T=1, B=1, rho=1.0, reverse=False, seed=0)
+    @example(kind="complex", d=3, T=2, B=3, rho=1.0, reverse=True, seed=1)
+    @example(kind="dense", d=4, T=3, B=3, rho=1.0, reverse=False, seed=2)
+    @example(kind="dense", d=4, T=64, B=1, rho=1.0, reverse=True, seed=3)
+    @example(kind="complex", d=5, T=65, B=3, rho=1.0, reverse=False, seed=4)
+    def test_matches_loop(self, kind, d, T, B, rho, reverse, seed):
+        rng = np.random.default_rng(seed)
+        a = symmetric_a(d, rho, kind == "dense", rng)
+        b = rng.standard_normal((B, T, d))
+        if kind == "complex":
+            a = a * np.exp(1j * rng.uniform(-np.pi, np.pi, d))
+            b = b + 1j * rng.standard_normal((B, T, d))
+        x = linear_scan(a, b, reverse=reverse)
+        assert x.shape == b.shape
+        assert rel_error(x, loop_scan(a, b, reverse=reverse)) <= SCAN_RTOL
+
+    @given(dense=st.booleans(), d=st.integers(1, 6), T=st.integers(1, 70),
+           B=st.sampled_from([1, 3]), rho=RADII, x0=st.sampled_from([None, "shared", "per_row"]),
+           seed=st.integers(0, 2**16))
+    @example(dense=False, d=2, T=1, B=1, rho=1.0, x0="shared", seed=0)
+    @example(dense=True, d=3, T=2, B=3, rho=1.0, x0="per_row", seed=1)
+    @example(dense=True, d=5, T=3, B=1, rho=1.0, x0=None, seed=2)
+    @example(dense=False, d=6, T=3, B=3, rho=1.0, x0="per_row", seed=3)
+    def test_simulate_matches_loop(self, dense, d, T, B, rho, x0, seed):
+        rng = np.random.default_rng(seed)
+        params = random_system(symmetric_a(d, rho, dense, rng), 2, 3, rng)
+        u = rng.standard_normal((B, T, 2))
+        x0 = {None: None, "shared": rng.standard_normal(d),
+              "per_row": rng.standard_normal((B, d))}[x0]
+        y = simulate_lds(params, u, x0=x0)
+        assert rel_error(y, loop_simulate_lds(params, u, x0=x0)) <= SCAN_RTOL
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("T", range(1, 9))
+    def test_unstable_short_rollout_raises_no_overflow(self, dense, T):
+        # Spectral radius 1e40: the rollout itself applies at most A^7 (1e280),
+        # but a scan that formed the unused next power A^8 would overflow.
+        rng = np.random.default_rng(T)
+        params = random_system(symmetric_a(3, 1e40, dense, rng), 2, 2, rng)
+        u = rng.standard_normal((2, T, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = simulate_lds(params, u)
+        assert rel_error(y, loop_simulate_lds(params, u)) <= SCAN_RTOL
 
 
 class TestRandomMarginalSystem:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spectral_ssm import (
     LdsParams,
@@ -12,6 +14,8 @@ from spectral_ssm import (
 )
 from spectral_ssm.lds import bounded_inputs, random_inputs, random_symmetric_system
 from spectral_ssm.theory import characteristic_polynomial, constructive_k_sweep
+
+from conftest import ar_rounding_bound, loop_ar_predict
 
 
 class TestTheoremBound:
@@ -180,3 +184,21 @@ class TestArCoefficients:
         y = simulate_lds(lds, u)
         y_ar = ar_coefficients(lds).predict(u)
         assert np.abs(y - y_ar).max() <= 1e-8 * np.abs(y).max()
+
+    @given(d=st.integers(1, 16), T=st.integers(1, 64), B=st.sampled_from([1, 3]),
+           dense=st.booleans(), rho=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           seed=st.integers(0, 2**16))
+    @example(d=16, T=1, B=1, dense=True, rho=1.0, seed=0)
+    @example(d=16, T=16, B=3, dense=False, rho=1.0, seed=1)
+    @example(d=8, T=3, B=3, dense=True, rho=0.5, seed=2)
+    @example(d=1, T=2, B=1, dense=False, rho=1.0, seed=3)
+    @example(d=14, T=56, B=3, dense=False, rho=1.0, seed=1702)
+    def test_predict_matches_loop(self, d, T, B, dense, rho, seed):
+        ar = ar_coefficients(random_symmetric_system(d, 2, 2, radius=rho, seed=seed, dense=dense))
+        u = random_inputs(B, T, 2, seed=seed + 1)
+        ref = loop_ar_predict(ar, u)
+        # 1e-12 relative, unless the recursion amplifies its own rounding
+        # further: with many poles near the unit circle no float64 evaluation
+        # order, the loop's included, is that close to the exact result.
+        tol = np.maximum(1e-12 * np.abs(ref).max(), 2 * ar_rounding_bound(ar, u, ref))
+        assert np.all(np.abs(ar.predict(u) - ref) <= tol)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spectral_ssm import (
     HankelVariant,
@@ -20,7 +22,7 @@ from spectral_ssm.lds import random_inputs, simulate_lds
 from spectral_ssm.stu import forward
 from spectral_ssm.trainer import LruParams, lru_loss_and_grads, stu_loss_and_grads, stu_mse
 
-from conftest import fd_gradcheck
+from conftest import fd_gradcheck, loop_lru_loss_and_grads, rel_error
 
 
 def make_realizable(bank, K, n=6, T=64, d_in=2, d_out=2, seed=0, k_y=0):
@@ -278,6 +280,26 @@ class TestLruTraining:
             grads,
         )
         assert worst <= 1e-5
+
+    @given(stable_exp=st.booleans(), gamma_norm=st.booleans(), d_h=st.integers(1, 8),
+           T=st.integers(1, 48), B=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
+    @example(stable_exp=True, gamma_norm=True, d_h=4, T=1, B=1, seed=0)
+    @example(stable_exp=False, gamma_norm=True, d_h=3, T=2, B=3, seed=1)
+    @example(stable_exp=True, gamma_norm=False, d_h=2, T=3, B=3, seed=2)
+    @example(stable_exp=False, gamma_norm=False, d_h=8, T=33, B=1, seed=3)
+    def test_loss_and_gradients_match_loop(self, stable_exp, gamma_norm, d_h, T, B, seed):
+        rng = np.random.default_rng(seed)
+        options = LruOptions(stable_exp=stable_exp, gamma_norm=gamma_norm, ring_init=(0.3, 0.999))
+        params = init_lru_params(d_h, 2, 2, options, seed=seed)
+        params.D[:] = rng.standard_normal(params.D.shape)
+        u = rng.standard_normal((B, T, 2))
+        y = rng.standard_normal((B, T, 2))
+        loss, grads = lru_loss_and_grads(params, u, y)
+        ref_loss, ref_grads = loop_lru_loss_and_grads(params, u, y)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert set(grads) == set(ref_grads)
+        for name, ref in ref_grads.items():
+            assert rel_error(grads[name], ref) <= 1e-12, name
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(18)

@@ -1,10 +1,16 @@
 """Command-line driver: filter generation and caching, experiment execution,
 representation verification, and CSV/JSON export.
 
+Each command's click options are the one source of its defaults, types and
+validation.  A --config JSON object becomes the command's default map, so a
+value resolves as flag > config file > built-in default, and a config value
+is typed and checked exactly like the flag of the same name.
+
 Exit codes: 0 success, 1 runtime error, 2 scientific check failed, 64 usage
-error.  Every run writes run.json (config echo, seed, versions, wall time)
-into the output directory; timing lives only there so the scientific
-artifacts are byte-identical across reruns of the same config and seed.
+error (bad flag, unknown config key, invalid value).  Every run writes
+run.json (config echo, seed, versions, wall time) into the output directory;
+timing lives only there so the scientific artifacts are byte-identical across
+reruns of the same config and seed.
 
 Heavy imports happen inside commands so the thread budget can be applied to
 the BLAS pools before numpy initializes them.
@@ -35,19 +41,23 @@ def _apply_thread_budget(threads: int | None, deterministic: bool) -> int | None
     return threads
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make a JSON config file the command's defaults; flags still win."""
     if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise click.UsageError(f"config file not found: {path}")
+        return
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"config file is not valid JSON: {exc}")
+        raise click.BadParameter(f"not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise click.UsageError("config file must hold a JSON object")
-    return doc
+        raise click.BadParameter("must hold a JSON object")
+    known = {p.name for p in ctx.command.params if p.expose_value}
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise click.BadParameter(f"unknown key(s) {', '.join(map(repr, unknown))}")
+    # null keeps the built-in default; passed on, it would reach a command as
+    # None (for --seed, an unseeded generator).
+    ctx.default_map = {k: v for k, v in doc.items() if v is not None}
 
 
 def _write_json(path: Path, doc) -> None:
@@ -68,11 +78,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 class RunContext:
     """Collects run metadata and writes run.json on completion."""
 
-    def __init__(self, command: str, out_dir: str, params: dict, seed: int | None):
+    def __init__(self, command: str, out_dir: str, params: dict):
         self.command = command
         self.out = Path(out_dir)
         self.params = params
-        self.seed = seed
         self.t0 = time.perf_counter()
         self.started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
@@ -84,7 +93,7 @@ class RunContext:
         doc = {
             "command": self.command,
             "config": self.params,
-            "seed": self.seed,
+            "seed": self.params["seed"],
             "versions": {
                 "spectral_ssm": __version__,
                 "numpy": numpy.__version__,
@@ -117,10 +126,27 @@ def _fixture_system(name: str):
     raise click.UsageError(f"unknown fixture {name!r} (use 'marginal' or a JSON path)")
 
 
+def _parse_int_list(ctx: click.Context, param: click.Parameter, spec: str) -> list[int]:
+    """Parse an inclusive range "A..B" or a comma list into a non-empty int list."""
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        raise click.BadParameter(f"{spec!r} is not a range A..B or a comma list of integers")
+    if not values:
+        raise click.BadParameter(f"{spec!r} lists no values")
+    return values
+
+
 common_options = [
-    click.option("--config", "config_path", type=str, default=None, help="JSON config file."),
+    click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+                 expose_value=False, callback=_load_config,
+                 help="JSON object of option values (keys are parameter names)."),
     click.option("--out", type=str, default=None, help="Output directory."),
-    click.option("--seed", type=int, default=None, help="Seed override."),
+    click.option("--seed", type=int, default=0, show_default=True, help="Random seed."),
     click.option("--threads", type=int, default=None, help="BLAS thread budget."),
     click.option("--deterministic", is_flag=True, help="Force sequential reductions (threads=1)."),
 ]
@@ -132,17 +158,12 @@ def _with_common(f):
     return f
 
 
-def _prep(command, config_path, out, seed, threads, deterministic, defaults):
-    threads = _apply_thread_budget(threads, deterministic)
-    cfg = dict(defaults)
-    cfg.update(_load_config(config_path))
-    if seed is not None:
-        cfg["seed"] = seed
-    out_dir = out or f"runs/{command}"
-    params = dict(cfg)
-    params["threads"] = threads
-    params["deterministic"] = deterministic
-    return cfg, RunContext(command, out_dir, params, cfg.get("seed"))
+def _start_run() -> RunContext:
+    """Apply the thread budget, before any heavy import, and open the run."""
+    ctx = click.get_current_context()
+    params = {k: v for k, v in ctx.params.items() if k != "out"}
+    params["threads"] = _apply_thread_budget(params["threads"], params["deterministic"])
+    return RunContext(ctx.info_name, ctx.params["out"] or f"runs/{ctx.info_name}", params)
 
 
 @click.group()
@@ -155,16 +176,13 @@ def cli():
 @click.option("--K", "K", type=int, default=24, show_default=True)
 @click.option("--variant", type=click.Choice(["primary", "alternative"]), default="primary")
 @_with_common
-def gen_filters(L, K, variant, config_path, out, seed, threads, deterministic):
+def gen_filters(L, K, variant, out, **_):
     """Compute a filter bank and write it to the cache directory."""
-    cfg, run = _prep(
-        "gen-filters", config_path, out, seed, threads, deterministic,
-        {"L": L, "K": K, "variant": variant},
-    )
+    run = _start_run()
     from . import filterbank as fb
 
     root = _resolve_cache_root(out)
-    bank = fb.compute_filterbank(int(cfg["L"]), int(cfg["K"]), fb.HankelVariant(cfg["variant"]))
+    bank = fb.compute_filterbank(L, K, fb.HankelVariant(variant))
     directory = fb.save_filterbank(bank, root / fb.cache_key(bank.L, bank.K, bank.variant))
     run.out = directory
     run.finish()
@@ -173,24 +191,21 @@ def gen_filters(L, K, variant, config_path, out, seed, threads, deterministic):
 
 @cli.command("simulate-lds")
 @click.option("--fixture", default="marginal", show_default=True)
-@click.option("--length", "L", type=int, default=256, show_default=True)
+@click.option("--length", type=int, default=256, show_default=True)
 @click.option("--batch", type=int, default=4, show_default=True)
 @_with_common
-def simulate_lds_cmd(fixture, L, batch, config_path, out, seed, threads, deterministic):
+def simulate_lds_cmd(fixture, length, batch, seed, **_):
     """Roll out a system on random inputs and store the trajectories."""
-    cfg, run = _prep(
-        "simulate-lds", config_path, out, seed, threads, deterministic,
-        {"fixture": fixture, "length": L, "batch": batch, "seed": 0},
-    )
+    run = _start_run()
     from . import container, lds
 
-    system = _fixture_system(cfg["fixture"])
-    u = lds.random_inputs(int(cfg["batch"]), int(cfg["length"]), system.d_in, int(cfg["seed"]))
+    system = _fixture_system(fixture)
+    u = lds.random_inputs(batch, length, system.d_in, seed)
     y = lds.simulate_lds(system, u)
-    container.save_arrays(run.out, {"kind": "lds_rollout", "fixture": cfg["fixture"]},
+    container.save_arrays(run.out, {"kind": "lds_rollout", "fixture": fixture},
                           {"inputs": u, "outputs": y})
     _write_json(run.out / "summary.json", {
-        "fixture": cfg["fixture"], "batch": int(cfg["batch"]), "length": int(cfg["length"]),
+        "fixture": fixture, "batch": batch, "length": length,
         "output_rms": float((y**2).mean() ** 0.5),
     })
     run.finish()
@@ -200,49 +215,43 @@ def simulate_lds_cmd(fixture, L, batch, config_path, out, seed, threads, determi
 @cli.command("verify-theorem")
 @click.option("--systems", type=int, default=50, show_default=True)
 @click.option("--L", "L", type=int, default=256, show_default=True)
-@click.option("--K", "K", default="8,16,24", show_default=True, help="Comma list of filter counts.")
+@click.option("--K", "K", default="8,16,24", show_default=True, callback=_parse_int_list,
+              help="Comma list of filter counts.")
 @click.option("--d-max", type=int, default=16, show_default=True)
 @click.option("--variant", type=click.Choice(["primary", "alternative"]), default="primary")
 @_with_common
-def verify_theorem(systems, L, K, d_max, variant, config_path, out, seed, threads, deterministic):
+def verify_theorem(systems, L, K, d_max, variant, seed, **_):
     """Constructive approximation check over random symmetric systems."""
-    cfg, run = _prep(
-        "verify-theorem", config_path, out, seed, threads, deterministic,
-        {"systems": systems, "L": L, "K": K, "d_max": d_max, "variant": variant, "seed": 0},
-    )
+    run = _start_run()
+    import numpy as np
+
     from . import filterbank as fb
     from . import lds, theory
 
-    K_values = _parse_int_list(str(cfg["K"]))
-    var = fb.HankelVariant(cfg["variant"])
-    bank = fb.compute_filterbank(int(cfg["L"]), max(K_values), var)
-    rng_base = int(cfg["seed"])
+    bank = fb.compute_filterbank(L, max(K), fb.HankelVariant(variant))
     rows = []
     satisfied = 0
     total = 0
-    import numpy as np
-
-    rng = np.random.default_rng(rng_base)
-    for i in range(int(cfg["systems"])):
-        d_h = int(rng.integers(1, int(cfg["d_max"]) + 1))
+    rng = np.random.default_rng(seed)
+    for i in range(systems):
+        d_h = int(rng.integers(1, d_max + 1))
         system = lds.random_symmetric_system(d_h, 3, 3, radius=float(rng.uniform(0.5, 1.0)),
-                                             seed=rng_base + 1000 + i, dense=bool(i % 2))
-        u = lds.bounded_inputs(1, bank.L, 3, seed=rng_base + 5000 + i)
-        for K_i in K_values:
+                                             seed=seed + 1000 + i, dense=bool(i % 2))
+        u = lds.bounded_inputs(1, bank.L, 3, seed=seed + 5000 + i)
+        for K_i in K:
             rep = theory.approximation_report(system, theory.stu_from_lds(system, bank, K_i), bank, u)
             rows.append((i, K_i, rep.max_err, rep.bound))
             total += 1
             satisfied += int(rep.satisfied)
     report = {
-        "systems": int(cfg["systems"]), "K": K_values, "L": int(cfg["L"]),
-        "variant": cfg["variant"], "checks": total, "satisfied": satisfied,
-        "violations": total - satisfied,
+        "systems": systems, "K": K, "L": L, "variant": variant, "checks": total,
+        "satisfied": satisfied, "violations": total - satisfied,
     }
     _write_json(run.out / "report.json", report)
     _write_csv(run.out / "errors.csv", ["system", "K", "max_err", "bound"], rows)
     per_k = [
         (K_i, max(e for _, k, e, _ in rows if k == K_i), min(b for _, k, _, b in rows if k == K_i))
-        for K_i in K_values
+        for K_i in K
     ]
     _write_csv(run.out / "ksweep.csv", ["K", "max_err", "bound"], per_k)
     run.finish(0 if satisfied == total else 2)
@@ -254,41 +263,37 @@ def verify_theorem(systems, L, K, d_max, variant, config_path, out, seed, thread
 @cli.command("verify-ar")
 @click.option("--systems", type=int, default=20, show_default=True)
 @click.option("--d-max", type=int, default=6, show_default=True)
-@click.option("--length", "L", type=int, default=200, show_default=True)
+@click.option("--length", type=int, default=200, show_default=True)
 @click.option("--radius", type=float, default=0.99, show_default=True)
 @click.option("--rtol", type=float, default=1e-8, show_default=True)
 @_with_common
-def verify_ar(systems, d_max, L, radius, rtol, config_path, out, seed, threads, deterministic):
+def verify_ar(systems, d_max, length, radius, rtol, seed, **_):
     """Check the exact finite autoregression against the rollout oracle."""
-    cfg, run = _prep(
-        "verify-ar", config_path, out, seed, threads, deterministic,
-        {"systems": systems, "d_max": d_max, "length": L, "radius": radius,
-         "rtol": rtol, "seed": 0},
-    )
+    run = _start_run()
     import numpy as np
 
     from . import lds, theory
 
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(seed)
     rows = []
     failures = 0
-    for i in range(int(cfg["systems"])):
-        d = int(rng.integers(1, int(cfg["d_max"]) + 1))
-        system = lds.random_symmetric_system(d, 2, 2, radius=float(cfg["radius"]),
-                                             seed=int(cfg["seed"]) + 100 + i, dense=bool(i % 2))
-        u = lds.random_inputs(2, int(cfg["length"]), 2, seed=int(cfg["seed"]) + 900 + i)
+    for i in range(systems):
+        d = int(rng.integers(1, d_max + 1))
+        system = lds.random_symmetric_system(d, 2, 2, radius=radius, seed=seed + 100 + i,
+                                             dense=bool(i % 2))
+        u = lds.random_inputs(2, length, 2, seed=seed + 900 + i)
         y = lds.simulate_lds(system, u)
         y_ar = theory.ar_coefficients(system).predict(u)
         rel = float(np.abs(y - y_ar).max() / max(np.abs(y).max(), 1e-300))
         rows.append((i, d, rel))
-        failures += int(rel > float(cfg["rtol"]))
+        failures += int(rel > rtol)
     _write_json(run.out / "report.json", {
-        "systems": int(cfg["systems"]), "rtol": float(cfg["rtol"]), "failures": failures,
+        "systems": systems, "rtol": rtol, "failures": failures,
         "max_rel_err": max(r for _, _, r in rows),
     })
     _write_csv(run.out / "errors.csv", ["system", "d", "rel_err"], rows)
     run.finish(0 if failures == 0 else 2)
-    click.echo(f"{int(cfg['systems']) - failures}/{cfg['systems']} exact")
+    click.echo(f"{systems - failures}/{systems} exact")
     if failures:
         raise CheckFailed(f"{failures} systems exceeded rtol")
 
@@ -297,28 +302,23 @@ def verify_ar(systems, d_max, L, radius, rtol, config_path, out, seed, threads, 
 @click.option("--fixture", default="marginal", show_default=True)
 @click.option("--K", "K", type=int, default=25, show_default=True)
 @click.option("--k-y", type=int, default=0, show_default=True)
-@click.option("--length", "L", type=int, default=256, show_default=True)
+@click.option("--length", type=int, default=256, show_default=True)
 @click.option("--sequences", type=int, default=32, show_default=True)
 @click.option("--steps", type=int, default=2000, show_default=True)
 @click.option("--lr", type=float, default=5e-3, show_default=True)
 @_with_common
-def fit_stu_cmd(fixture, K, k_y, L, sequences, steps, lr, config_path, out, seed, threads, deterministic):
+def fit_stu_cmd(fixture, K, k_y, length, sequences, steps, lr, seed, **_):
     """Train an STU layer on rollouts of a fixture system."""
-    cfg, run = _prep(
-        "fit-stu", config_path, out, seed, threads, deterministic,
-        {"fixture": fixture, "K": K, "k_y": k_y, "length": L, "sequences": sequences,
-         "steps": steps, "lr": lr, "seed": 0},
-    )
+    run = _start_run()
     from . import filterbank as fb
     from . import lds, trainer
 
-    system = _fixture_system(cfg["fixture"])
-    bank = fb.compute_filterbank(int(cfg["length"]), int(cfg["K"]))
-    u = lds.random_inputs(int(cfg["sequences"]), bank.L, system.d_in, int(cfg["seed"]) + 1)
+    system = _fixture_system(fixture)
+    bank = fb.compute_filterbank(length, K)
+    u = lds.random_inputs(sequences, bank.L, system.d_in, seed + 1)
     y = lds.simulate_lds(system, u)
-    tc = trainer.TrainConfig(learning_rate=float(cfg["lr"]), steps=int(cfg["steps"]),
-                             batch_size=1, seed=int(cfg["seed"]))
-    report = trainer.fit_stu((u, y), bank, int(cfg["K"]), int(cfg["k_y"]), tc)
+    tc = trainer.TrainConfig(learning_rate=lr, steps=steps, batch_size=1, seed=seed)
+    report = trainer.fit_stu((u, y), bank, K, k_y, tc)
     _write_report(run, report, extra={"initial_mse": float((y**2).mean())})
     run.finish()
     click.echo(f"final loss {report.loss_curve[-1]:.6e}")
@@ -327,7 +327,7 @@ def fit_stu_cmd(fixture, K, k_y, L, sequences, steps, lr, config_path, out, seed
 @cli.command("fit-lru")
 @click.option("--fixture", default="marginal", show_default=True)
 @click.option("--d-hidden", type=int, default=32, show_default=True)
-@click.option("--length", "L", type=int, default=256, show_default=True)
+@click.option("--length", type=int, default=256, show_default=True)
 @click.option("--sequences", type=int, default=32, show_default=True)
 @click.option("--steps", type=int, default=3000, show_default=True)
 @click.option("--lr", type=float, default=5e-2, show_default=True)
@@ -338,30 +338,21 @@ def fit_stu_cmd(fixture, K, k_y, L, sequences, steps, lr, config_path, out, seed
 @click.option("--max-phase", type=float, default=6.28, show_default=True)
 @click.option("--schedule", type=click.Choice(["constant", "warmup_cosine"]), default="warmup_cosine")
 @_with_common
-def fit_lru_cmd(fixture, d_hidden, L, sequences, steps, lr, stable_exp, gamma_norm,
-                ring_min, ring_max, max_phase, schedule, config_path, out, seed, threads, deterministic):
+def fit_lru_cmd(fixture, d_hidden, length, sequences, steps, lr, stable_exp, gamma_norm,
+                ring_min, ring_max, max_phase, schedule, seed, **_):
     """Train the diagonal RNN baseline on rollouts of a fixture system."""
-    cfg, run = _prep(
-        "fit-lru", config_path, out, seed, threads, deterministic,
-        {"fixture": fixture, "d_hidden": d_hidden, "length": L, "sequences": sequences,
-         "steps": steps, "lr": lr, "stable_exp": stable_exp, "gamma_norm": gamma_norm,
-         "ring_min": ring_min, "ring_max": ring_max, "max_phase": max_phase,
-         "schedule": schedule, "seed": 0},
-    )
+    run = _start_run()
     from . import lds, trainer
 
-    system = _fixture_system(cfg["fixture"])
-    u = lds.random_inputs(int(cfg["sequences"]), int(cfg["length"]), system.d_in, int(cfg["seed"]) + 1)
+    system = _fixture_system(fixture)
+    u = lds.random_inputs(sequences, length, system.d_in, seed + 1)
     y = lds.simulate_lds(system, u)
-    options = trainer.LruOptions(
-        stable_exp=bool(cfg["stable_exp"]), gamma_norm=bool(cfg["gamma_norm"]),
-        ring_init=(float(cfg["ring_min"]), float(cfg["ring_max"])),
-        max_init_phase=float(cfg["max_phase"]),
-    )
-    tc = trainer.TrainConfig(learning_rate=float(cfg["lr"]), steps=int(cfg["steps"]),
-                             batch_size=2, seed=int(cfg["seed"]), lr_schedule=str(cfg["schedule"]))
+    options = trainer.LruOptions(stable_exp=stable_exp, gamma_norm=gamma_norm,
+                                 ring_init=(ring_min, ring_max), max_init_phase=max_phase)
+    tc = trainer.TrainConfig(learning_rate=lr, steps=steps, batch_size=2, seed=seed,
+                             lr_schedule=schedule)
     try:
-        report = trainer.fit_lru((u, y), int(cfg["d_hidden"]), tc, options)
+        report = trainer.fit_lru((u, y), d_hidden, tc, options)
     except trainer.TrainingDiverged as exc:
         report = exc.report
     _write_report(run, report, extra={"initial_mse": float((y**2).mean())})
@@ -372,28 +363,23 @@ def fit_lru_cmd(fixture, d_hidden, L, sequences, steps, lr, stable_exp, gamma_no
 
 @cli.command("sweep-k")
 @click.option("--fixture", default="marginal", show_default=True)
-@click.option("--K", "K", default="1..30", show_default=True, help="Range A..B or comma list.")
-@click.option("--length", "L", type=int, default=256, show_default=True)
+@click.option("--K", "K", default="1..30", show_default=True, callback=_parse_int_list,
+              help="Range A..B or comma list.")
+@click.option("--length", type=int, default=256, show_default=True)
 @click.option("--sequences", type=int, default=8, show_default=True)
 @click.option("--noise-std", type=float, default=0.0, show_default=True)
 @click.option("--method", type=click.Choice(["ls", "sgd"]), default="ls", show_default=True)
 @_with_common
-def sweep_k(fixture, K, L, sequences, noise_std, method, config_path, out, seed, threads, deterministic):
+def sweep_k(fixture, K, length, sequences, noise_std, method, seed, **_):
     """Least-squares reconstruction error as a function of the filter count."""
-    cfg, run = _prep(
-        "sweep-k", config_path, out, seed, threads, deterministic,
-        {"fixture": fixture, "K": K, "length": L, "sequences": sequences,
-         "noise_std": noise_std, "method": method, "seed": 0},
-    )
+    run = _start_run()
     from . import filterbank as fb
     from . import trainer
 
-    K_values = _parse_int_list(str(cfg["K"]))
-    system = _fixture_system(cfg["fixture"])
-    bank = fb.compute_filterbank(int(cfg["length"]), max(K_values))
-    tc = trainer.TrainConfig(seed=int(cfg["seed"]))
-    rows = trainer.k_sweep(system, K_values, bank, tc, n_sequences=int(cfg["sequences"]),
-                           method=str(cfg["method"]), noise_std=float(cfg["noise_std"]))
+    system = _fixture_system(fixture)
+    bank = fb.compute_filterbank(length, max(K))
+    rows = trainer.k_sweep(system, K, bank, trainer.TrainConfig(seed=seed),
+                           n_sequences=sequences, method=method, noise_std=noise_std)
     _write_csv(run.out / "sweep.csv", ["K", "final_error"], [(k, float(e)) for k, e in rows])
     run.finish()
     click.echo(f"wrote {run.out / 'sweep.csv'}")
@@ -402,60 +388,24 @@ def sweep_k(fixture, K, L, sequences, noise_std, method, config_path, out, seed,
 @cli.command("train-stack")
 @click.option("--task", type=click.Choice(["delayed_recall", "parity_prefix", "noisy_lds_class"]),
               default="delayed_recall", show_default=True)
-@click.option("--length", "L", type=int, default=256, show_default=True)
+@click.option("--length", type=int, default=256, show_default=True)
 @click.option("--steps", type=int, default=800, show_default=True)
 @click.option("--lr", type=float, default=2e-2, show_default=True)
 @click.option("--batch-size", type=int, default=64, show_default=True)
 @click.option("--n-train", type=int, default=2048, show_default=True)
 @click.option("--n-eval", type=int, default=512, show_default=True)
 @_with_common
-def train_stack_cmd(task, L, steps, lr, batch_size, n_train, n_eval,
-                    config_path, out, seed, threads, deterministic):
+def train_stack_cmd(task, length, steps, lr, batch_size, n_train, n_eval, seed, **_):
     """Train the stacked classifier on a synthetic task."""
-    cfg, run = _prep(
-        "train-stack", config_path, out, seed, threads, deterministic,
-        {"task": task, "length": L, "steps": steps, "lr": lr, "batch_size": batch_size,
-         "n_train": n_train, "n_eval": n_eval, "seed": 0},
-    )
+    run = _start_run()
     from . import stack, trainer
 
-    tc = trainer.TrainConfig(learning_rate=float(cfg["lr"]), steps=int(cfg["steps"]),
-                             batch_size=int(cfg["batch_size"]), seed=int(cfg["seed"]))
-    report = stack.train_stack(str(cfg["task"]), None, tc, L=int(cfg["length"]),
-                               n_train=int(cfg["n_train"]), n_eval=int(cfg["n_eval"]))
+    tc = trainer.TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, seed=seed)
+    report = stack.train_stack(task, None, tc, L=length, n_train=n_train, n_eval=n_eval)
     _write_report(run, report, params=False)
     stack.save_stack(report.final_params, run.out / "checkpoint")
     run.finish()
     click.echo(f"eval accuracy {report.metrics.get('eval_accuracy'):.4f}")
-
-
-@cli.command("bench")
-@click.option("--lengths", default="2048,4096", show_default=True)
-@click.option("--K", "K", type=int, default=24, show_default=True)
-@click.option("--d-in", type=int, default=8, show_default=True)
-@click.option("--repeats", type=int, default=5, show_default=True)
-@click.option("--max-ratio", type=float, default=2.6, show_default=True,
-              help="Fail (exit 2) if doubling L scales time worse than this.")
-@_with_common
-def bench(lengths, K, d_in, repeats, max_ratio, config_path, out, seed, threads, deterministic):
-    """Measure featurization wall time against the O(L log L) contract."""
-    cfg, run = _prep(
-        "bench", config_path, out, seed, threads, deterministic,
-        {"lengths": lengths, "K": K, "d_in": d_in, "repeats": repeats,
-         "max_ratio": max_ratio, "seed": 0},
-    )
-    from .bench import featurize_timings
-
-    L_values = _parse_int_list(str(cfg["lengths"]))
-    result = featurize_timings(L_values, int(cfg["K"]), int(cfg["d_in"]),
-                               repeats=int(cfg["repeats"]), seed=int(cfg["seed"]))
-    result["max_ratio"] = float(cfg["max_ratio"])
-    ok = all(r <= float(cfg["max_ratio"]) for r in result["doubling_ratios"])
-    _write_json(run.out / "bench.json", result)
-    run.finish(0 if ok else 2)
-    click.echo(json.dumps({k: result[k] for k in ("median_s", "doubling_ratios")}))
-    if not ok:
-        raise CheckFailed(f"doubling ratio exceeded {cfg['max_ratio']}")
 
 
 def _write_report(run: RunContext, report, extra: dict | None = None, params: bool = True) -> None:
@@ -473,21 +423,13 @@ def _write_report(run: RunContext, report, extra: dict | None = None, params: bo
     _write_json(run.out / "report.json", doc)
     _write_csv(run.out / "loss.csv", ["step", "loss"],
                [(i, float(l)) for i, l in enumerate(report.loss_curve)])
-    if params and hasattr(report.final_params, "named_arrays"):
+    if params:
         container.save_arrays(run.out / "params", {"kind": "train_params"},
                               dict(report.final_params.named_arrays()))
 
 
 def _json_safe(v) -> bool:
     return isinstance(v, (bool, int, float, str, list, dict, type(None)))
-
-
-def _parse_int_list(spec: str) -> list[int]:
-    spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
 
 
 def main(argv=None) -> int:

@@ -9,8 +9,9 @@ import pytest
 import spectral_ssm as ss
 from spectral_ssm import stack as stack_mod
 from spectral_ssm import trainer as trainer_mod
-from spectral_ssm.bench import featurize_timings
+from spectral_ssm.filterbank import compute_filterbank
 from spectral_ssm.lds import bounded_inputs, random_inputs, random_symmetric_system
+from spectral_ssm.stu import featurize
 from spectral_ssm.trainer import TrainingDiverged, lru_loss_and_grads, stu_loss_and_grads
 
 from conftest import fd_gradcheck
@@ -260,6 +261,38 @@ def test_criterion_7_gradient_fidelity():
         f"10 seeds, trainer + stack analytic vs central differences, worst error "
         f"{worst_all:.3e} (tol 1e-5), {elapsed:.0f}s",
     )
+
+
+def featurize_timings(L_values, K: int, d_in: int, repeats: int = 5, seed: int = 0) -> dict:
+    """Median featurize wall time per length and consecutive doubling ratios.
+
+    Banks are built with the matrix-free Lanczos path so setup stays cheap at
+    large L; the timing covers only the convolution.  Repeats are interleaved
+    across lengths so transient system load hits every length alike and the
+    ratios stay a paired comparison.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for L in L_values:
+        bank = compute_filterbank(L, K, method="lanczos")
+        u = rng.standard_normal((1, L, d_in))
+        featurize(bank, u)  # warm the FFT plan and allocator
+        cases.append((bank, u, []))
+    for _ in range(repeats):
+        for bank, u, times in cases:
+            t0 = time.perf_counter()
+            featurize(bank, u)
+            times.append(time.perf_counter() - t0)
+    medians = [float(np.median(times)) for _, _, times in cases]
+    ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
+    return {
+        "L": [int(L) for L in L_values],
+        "K": K,
+        "d_in": d_in,
+        "repeats": repeats,
+        "median_s": medians,
+        "doubling_ratios": ratios,
+    }
 
 
 def test_criterion_8_complexity_contract():

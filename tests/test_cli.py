@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from spectral_ssm.cli import main
 
 
@@ -49,6 +51,26 @@ class TestExitCodes:
 
     def test_unknown_fixture_is_64(self, tmp_path):
         assert run_cli("simulate-lds", "--fixture", "nope", "--out", str(tmp_path)) == 64
+
+    @pytest.mark.parametrize("command", ["verify-theorem", "sweep-k"])
+    @pytest.mark.parametrize("spec", ["5..2", "abc", "", "2,x"])
+    def test_bad_k_list_is_64(self, tmp_path, command, spec):
+        assert run_cli(command, "--K", spec, "--out", str(tmp_path)) == 64
+
+
+@pytest.mark.parametrize("doc, flags, code, bank", [
+    ({"L": 16, "K": 3}, ["--K", "6"], 0, "primary-L16-K6"),
+    ({"L": 16, "K": 3, "variant": "alternative"}, [], 0, "alternative-L16-K3"),
+    ({"L": 16, "K": 2, "lenght": 32}, [], 64, None),
+    ({"L": 16, "K": 2, "variant": "nope"}, [], 64, None),
+    ({"L": 16, "K": "two"}, [], 64, None),
+], ids=["flag-beats-file", "file-beats-default", "unknown-key", "bad-choice", "bad-type"])
+def test_config_file_contract(tmp_path, doc, flags, code, bank):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("gen-filters", "--config", str(cfg), *flags, "--out", str(out)) == code
+    assert sorted(p.name for p in out.glob("*")) == ([bank] if bank else [])
 
 
 class TestVerifyTheorem:
@@ -167,20 +189,6 @@ class TestTrainStack:
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert "eval_accuracy" in report["metrics"]
-
-
-class TestBench:
-    def test_small_lengths_smoke(self, tmp_path):
-        code = run_cli("bench", "--lengths", "128,256", "--K", "4", "--d-in", "2",
-                       "--repeats", "3", "--max-ratio", "100", "--out", str(tmp_path))
-        assert code == 0
-        doc = json.loads((tmp_path / "bench.json").read_text())
-        assert len(doc["median_s"]) == 2 and len(doc["doubling_ratios"]) == 1
-
-    def test_violation_exits_2(self, tmp_path):
-        code = run_cli("bench", "--lengths", "128,256", "--K", "4", "--d-in", "2",
-                       "--repeats", "3", "--max-ratio", "1e-9", "--out", str(tmp_path))
-        assert code == 2
 
 
 def test_deterministic_flag_sets_thread_env(tmp_path, monkeypatch):

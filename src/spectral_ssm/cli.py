@@ -126,19 +126,24 @@ def _fixture_system(name: str):
     raise click.UsageError(f"unknown fixture {name!r} (use 'marginal' or a JSON path)")
 
 
-def _parse_int_list(ctx: click.Context, param: click.Parameter, spec: str) -> list[int]:
-    """Parse an inclusive range "A..B" or a comma list into a non-empty int list."""
-    try:
-        if ".." in spec:
-            lo, hi = spec.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError:
-        raise click.BadParameter(f"{spec!r} is not a range A..B or a comma list of integers")
-    if not values:
-        raise click.BadParameter(f"{spec!r} lists no values")
-    return values
+class IntList(click.ParamType):
+    """A non-empty list of integers: a range "A..B" or a comma list on the
+    command line, or a JSON list from a --config file, as run.json echoes it."""
+
+    name = "int list"
+
+    def convert(self, value, param, ctx):
+        values = value
+        if not isinstance(value, list):
+            lo, dots, hi = str(value).partition("..")
+            try:
+                values = (list(range(int(lo), int(hi) + 1)) if dots
+                          else [int(tok) for tok in lo.split(",") if tok.strip()])
+            except ValueError:
+                values = None
+        if not (values and all(type(v) is int for v in values)):
+            self.fail(f"{value!r} is not a non-empty range A..B or list of integers", param, ctx)
+        return values
 
 
 common_options = [
@@ -215,7 +220,7 @@ def simulate_lds_cmd(fixture, length, batch, seed, **_):
 @cli.command("verify-theorem")
 @click.option("--systems", type=int, default=50, show_default=True)
 @click.option("--L", "L", type=int, default=256, show_default=True)
-@click.option("--K", "K", default="8,16,24", show_default=True, callback=_parse_int_list,
+@click.option("--K", "K", type=IntList(), default="8,16,24", show_default=True,
               help="Comma list of filter counts.")
 @click.option("--d-max", type=int, default=16, show_default=True)
 @click.option("--variant", type=click.Choice(["primary", "alternative"]), default="primary")
@@ -363,7 +368,7 @@ def fit_lru_cmd(fixture, d_hidden, length, sequences, steps, lr, stable_exp, gam
 
 @cli.command("sweep-k")
 @click.option("--fixture", default="marginal", show_default=True)
-@click.option("--K", "K", default="1..30", show_default=True, callback=_parse_int_list,
+@click.option("--K", "K", type=IntList(), default="1..30", show_default=True,
               help="Range A..B or comma list.")
 @click.option("--length", type=int, default=256, show_default=True)
 @click.option("--sequences", type=int, default=8, show_default=True)

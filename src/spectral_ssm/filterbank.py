@@ -122,6 +122,10 @@ class FilterBank:
         """Filters premultiplied by sigma^{1/4}, the scale used in forward passes."""
         return self.sigma[:, None] ** 0.25 * self.phi
 
+    @cached_property
+    def spectra(self) -> dict:  # per sequence length, filled by stu._profile_spectra
+        return {}
+
     def head(self, K: int) -> "FilterBank":
         """Bank restricted to the strongest K filters."""
         if not 1 <= K <= self.K:

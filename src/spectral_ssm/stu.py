@@ -34,12 +34,13 @@ on each basis row.  Every contraction is a matmul.
 
 forward, the stack and the trainer's default step run through this pair; the
 params and the bank alone decide the filter family and whether M_y is
-learned.  Features are still materialized by featurize and naive_featurize
-(the oracles), and by scaled_features for the trainer's least-squares fit and
-its feature-cached gradient steps.  Those use the kernel's parameter layout:
-feature_streams convolves the input with each basis row, so one contraction
-with the stacked M (stack_m) gives the increments, and one contraction with
-the increment adjoint gives the stacked gradient that split_m names.
+learned.  Every materialized feature (featurize, fit_stu's streams and the
+least-squares features) comes from one routine, _convolve_profiles: it
+convolves the input with the bank's lag profiles, whose spectra and their
+parity prefix sums the bank caches per length.  layer_streams uses the
+kernel's parameter layout, so one contraction with the stacked M (stack_m)
+gives the increments, or with cumulative the outputs, and one contraction
+with the increment adjoint gives the stacked gradient that split_m names.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.fft as sfft
 
 from .container import load_arrays, save_arrays
 from .filterbank import FilterBank, HankelVariant, _as_variant
@@ -106,18 +108,6 @@ class StuParams:
         if self.M_y is not None:
             yield "M_y", self.M_y
 
-    def copy(self) -> "StuParams":
-        return StuParams(
-            variant=self.variant,
-            K=self.K,
-            d_in=self.d_in,
-            d_out=self.d_out,
-            M_u=self.M_u.copy(),
-            M_phi_plus=self.M_phi_plus.copy(),
-            M_phi_minus=self.M_phi_minus.copy(),
-            M_y=None if self.M_y is None else self.M_y.copy(),
-        )
-
 
 @dataclass
 class SpectralFeatures:
@@ -141,45 +131,78 @@ def _fft_length(L: int) -> int:
     return 1 << (2 * L - 2).bit_length() if L > 1 else 1
 
 
-# Chunk FFT work over the filter axis so transient spectra stay a few MB;
-# monolithic (batch, bins, K, C) tensors cross glibc's mmap threshold and make
-# the wall time allocation-bound and erratic.
+# Chunk FFT work over basis rows so transient spectra stay a few MB;
+# monolithic (rows, channels, batch, bins) tensors cross glibc's mmap threshold
+# and make the wall time allocation-bound and erratic.
 _CHUNK_BYTES = 4 << 20
 
 
-def _filter_chunk(bins: int, B: int, C: int) -> int:
-    return max(1, _CHUNK_BYTES // (16 * bins * B * C))
+def _profiles(bank: FilterBank, T: int) -> np.ndarray:
+    """(1 + 2 bank.K, T): the unit impulse, the scaled filters and their alternating
+    copies, truncated to T lags; each _layer_basis row is one delayed (_layer_rows)."""
+    filters = bank.scaled_phi[:, :T]
+    return np.concatenate([np.eye(1, T), filters, filters * (-1.0) ** np.arange(T)])
 
 
-def convolve_filters(filters: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Causal convolution of each channel with each filter row, via FFT.
+def _profile_spectra(bank: FilterBank, T: int):
+    """rfft of _profiles and of their parity prefix sums, cached on the bank per
+    T; the truncation to T lags keeps wrap-around out of the first T outputs."""
+    if T not in bank.spectra:
+        profiles, n = _profiles(bank, T), _fft_length(T)
+        bank.spectra[T] = (sfft.rfft(profiles, n), sfft.rfft(parity_cumsum(profiles), n))
+    return bank.spectra[T]
 
-    filters: (K, L); inputs: (batch, T, C) with T <= L.
-    Returns (batch, T, K, C) where out[b, t, k, c] = sum_i inputs[b, t - i, c] * filters[k, i].
-    """
+
+def _layer_rows(bank: FilterBank, K: int):
+    """The _profiles row and the lag of each _layer_basis row for K filters."""
+    if K > bank.K:
+        raise ValueError(f"need {K} filters but bank has {bank.K}")
+    filters = np.arange(1, K + 1)
+    if bank.variant is HankelVariant.PRIMARY:
+        filters = np.concatenate([filters, filters + bank.K])
+    return np.r_[0, 0, 0, filters], np.r_[0, 1, 2, np.full(len(filters), 2)]
+
+
+def _delay_into(out: np.ndarray, src: np.ndarray, lags) -> None:
+    """out[j, ..., t] = src[j, ..., t - lags[j]], zero before; one slice per run of lags."""
+    ends = [*np.flatnonzero(np.diff(lags)) + 1, len(lags)]
+    for a, b in zip([0, *ends[:-1]], ends):
+        out[a:b, ..., : lags[a]] = 0.0
+        out[a:b, ..., lags[a] :] = src[a:b, ..., : max(out.shape[-1] - lags[a], 0)]
+
+
+def _convolve_profiles(bank: FilterBank, inputs: np.ndarray, rows, lags, cumulative=False):
+    """(len(rows), d_in, batch, T): the input convolved with each _profiles row (its
+    parity prefix sum when cumulative), delayed by its lag.  Time stays on the last,
+    contiguous axis from rfft to irfft, and rows run in chunks of _CHUNK_BYTES."""
     B, T, C = inputs.shape
-    K, L = filters.shape
-    n = _fft_length(max(L, T))
-    Uf = np.fft.rfft(inputs, n=n, axis=1)
-    Ff = np.fft.rfft(filters, n=n, axis=1)
-    out = np.empty((B, T, K, C))
-    step = _filter_chunk(Uf.shape[1], B, C)
-    for k0 in range(0, K, step):
-        prod = Uf[:, :, None, :] * Ff[k0 : k0 + step].T[None, :, :, None]
-        out[:, :, k0 : k0 + step] = np.fft.irfft(prod, n=n, axis=1)[:, :T]
+    n = _fft_length(T)
+    spectra = _profile_spectra(bank, T)[int(cumulative)]
+    xf = sfft.rfft(np.ascontiguousarray(inputs.transpose(2, 0, 1)), n)  # (C, B, bins)
+    out = np.empty((len(rows), C, B, T))
+    step = max(1, _CHUNK_BYTES // (16 * xf.size))
+    for j in range(0, len(rows), step):
+        conv = sfft.irfft(spectra[rows[j : j + step], None, None] * xf, n)
+        _delay_into(out[j : j + step], conv, lags[j : j + step])
     return out
 
 
-def _alternating(filters: np.ndarray) -> np.ndarray:
-    signs = (-1.0) ** np.arange(filters.shape[1])
-    return filters * signs
+def layer_streams(bank: FilterBank, K: int, inputs: np.ndarray, cumulative=False) -> np.ndarray:
+    """The input convolved with each _layer_basis row for K filters, (J, d_in,
+    batch, T); contracted with stack_m they give the increments g_t.  With
+    cumulative they are parity prefix sums over time, and the same
+    contraction gives the outputs y_t = y_{t-2} + g_t."""
+    return _convolve_profiles(bank, _check_inputs(inputs, bank), *_layer_rows(bank, K), cumulative)
 
 
 def featurize(bank: FilterBank, inputs: np.ndarray) -> SpectralFeatures:
-    """FFT featurization against the bank's (unscaled) filters."""
+    """FFT featurization against the bank's (unscaled) filters: the scaled filter
+    profiles' convolutions over sigma^{1/4}, which compute_filterbank keeps positive."""
     inputs = _check_inputs(inputs, bank)
-    both = np.concatenate([bank.phi, _alternating(bank.phi)], axis=0)
-    out = convolve_filters(both, inputs)
+    rows = np.arange(1, 1 + 2 * bank.K)
+    out = _convolve_profiles(bank, inputs, rows, np.zeros_like(rows))
+    out /= np.tile(bank.sigma**0.25, 2)[:, None, None, None]
+    out = np.ascontiguousarray(out.transpose(2, 3, 0, 1))  # (B, T, 2K, C)
     return SpectralFeatures(U_plus=out[:, :, : bank.K], U_minus=out[:, :, bank.K :])
 
 
@@ -193,21 +216,8 @@ def naive_featurize(bank: FilterBank, inputs: np.ndarray) -> SpectralFeatures:
     for t in range(T):
         window = inputs[:, t::-1]  # u_t, u_{t-1}, ..., u_0
         U_plus[:, t] = np.einsum("bic,ki->bkc", window, bank.phi[:, : t + 1])
-        U_minus[:, t] = np.einsum(
-            "bic,ki->bkc", window, (bank.phi * signs)[:, : t + 1]
-        )
+        U_minus[:, t] = np.einsum("bic,ki->bkc", window, (bank.phi * signs)[:, : t + 1])
     return SpectralFeatures(U_plus=U_plus, U_minus=U_minus)
-
-
-def scaled_features(bank: FilterBank, K: int, inputs: np.ndarray):
-    """sigma^{1/4}-scaled plus/minus feature tensors, (batch, T, K, d_in) each,
-    for the bank's first K filters; the minus tensor is None for the
-    alternative family."""
-    scaled = bank.scaled_phi[:K]
-    if bank.variant is HankelVariant.PRIMARY:
-        both = convolve_filters(np.concatenate([scaled, _alternating(scaled)]), inputs)
-        return both[:, :, :K], both[:, :, K:]
-    return convolve_filters(scaled, inputs), None
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,12 +288,9 @@ def _layer_basis(params: StuParams, bank: FilterBank, T: int) -> np.ndarray:
     """(3 + n_filters, T) lag profiles, one per stacked parameter matrix:
     unit impulses at lags 0, 1 and 2 for M_u, then the scaled filters (and
     their alternating-sign copies) delayed by two lags for M_phi."""
-    filters = bank.scaled_phi[: params.K, : max(T - 2, 0)]
-    if params.variant is HankelVariant.PRIMARY:
-        filters = np.concatenate([filters, _alternating(filters)])
-    basis = np.zeros((3 + len(filters), T))
-    basis[:3] = np.eye(3, T)
-    basis[3:, 2:] = filters
+    rows, lags = _layer_rows(bank, params.K)
+    basis = np.empty((len(rows), T))
+    _delay_into(basis, _profiles(bank, T)[rows], lags)
     return basis
 
 

@@ -21,10 +21,9 @@ from .stu import (
     feature_streams,
     forward,
     layer_grads,
+    layer_streams,
     output_adjoint,
-    parity_cumsum,
     recurse_outputs,
-    scaled_features,
     spectral_backward,
     spectral_forward,
     split_m,
@@ -125,8 +124,8 @@ def stu_loss_and_grads(params: StuParams, bank: FilterBank, inputs, targets, fea
     """Mean-squared-error loss and analytic gradients for every M matrix.
 
     Without features this is the shared layer kernel and its adjoint.  With
-    precomputed scaled features (su_plus, su_minus), as from
-    stu.scaled_features, it is _streams_loss_and_grads on their
+    precomputed sigma^{1/4}-scaled features (su_plus, su_minus; su_minus is
+    None for the alternative family), it is _streams_loss_and_grads on their
     stu.feature_streams.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -161,14 +160,14 @@ def fit_stu(dataset, bank: FilterBank, K: int, k_y: int, config: TrainConfig) ->
     """Gradient training of a single STU layer (k_y = 0 keeps the fixed
     y_{t-2} coupling and the problem convex; k_y >= 1 learns M_y).
 
-    All matrices start at zero.  The feature streams are built once per
-    dataset; each step indexes them.
+    All matrices start at zero.  The streams (stu.layer_streams) are built
+    once per dataset; each step indexes them.
     """
     inputs, targets = _check_dataset(dataset)
     n, T, d_in = inputs.shape
     d_out = targets.shape[2]
     params = StuParams.zeros(K, d_in, d_out, variant=bank.variant, k_y=k_y)
-    streams = feature_streams(inputs, *scaled_features(bank, K, inputs))
+    streams = np.ascontiguousarray(layer_streams(bank, K, inputs).transpose(2, 3, 0, 1))
 
     def loss_and_grads(idx):
         return _streams_loss_and_grads(params, streams[idx], targets[idx])
@@ -184,17 +183,6 @@ _MAX_LS_FEATURES = 10_000
 RIDGE_FALLBACK = 1e-8
 
 
-def _cumulative_features(bank: FilterBank, K: int, inputs: np.ndarray) -> np.ndarray:
-    """Parity-prefix-summed feature streams; output y_t is linear in them.
-
-    The streams are stu.feature_streams, flattened stream-major over the
-    input channels.  Returns (n, T, n_features).
-    """
-    n, T, _ = inputs.shape
-    streams = feature_streams(inputs, *scaled_features(bank, K, inputs))
-    return parity_cumsum(streams.reshape(n, T, -1))
-
-
 def _weights_to_params(W: np.ndarray, bank_variant, K: int, d_in: int, d_out: int) -> StuParams:
     M = W.reshape(-1, d_in, d_out).transpose(0, 2, 1)
     return StuParams(variant=bank_variant, K=K, d_in=d_in, d_out=d_out, **split_m(M, K))
@@ -202,16 +190,19 @@ def _weights_to_params(W: np.ndarray, bank_variant, K: int, d_in: int, d_out: in
 
 def fit_stu_least_squares(dataset, bank: FilterBank, K: int) -> StuParams:
     """Globally optimal convex-layer parameters under MSE (dense normal
-    equations; ridge fallback of 1e-8 when the factorization fails)."""
+    equations G = F F^T, b = F Y; ridge fallback of 1e-8 when the
+    factorization fails).  The outputs are linear in the features F, the
+    cumulative stu.layer_streams: a row per (basis row, input channel), a
+    column per (sequence, step)."""
     inputs, targets = _check_dataset(dataset)
     n, T, d_in = inputs.shape
     d_out = targets.shape[2]
-    F = _cumulative_features(bank, K, inputs).reshape(n * T, -1)
-    if F.shape[1] > _MAX_LS_FEATURES:
-        raise ValueError(f"feature dimension {F.shape[1]} exceeds {_MAX_LS_FEATURES}")
+    F = layer_streams(bank, K, inputs, cumulative=True).reshape(-1, n * T)
+    if F.shape[0] > _MAX_LS_FEATURES:
+        raise ValueError(f"feature dimension {F.shape[0]} exceeds {_MAX_LS_FEATURES}")
     Y = targets.reshape(n * T, d_out)
-    G = F.T @ F
-    b = F.T @ Y
+    G = F @ F.T
+    b = F @ Y
     if np.trace(G) == 0.0:
         return _weights_to_params(np.zeros_like(b), bank.variant, K, d_in, d_out)
     try:
@@ -320,13 +311,6 @@ class LruParams:
     def named_arrays(self):
         for name in ("nu_log", "theta_log", "B_re", "B_im", "C_re", "C_im", "D"):
             yield name, getattr(self, name)
-
-    def copy(self) -> "LruParams":
-        return LruParams(
-            **{name: arr.copy() for name, arr in self.named_arrays()},
-            gamma_norm=self.gamma_norm,
-            stable_exp=self.stable_exp,
-        )
 
 
 def init_lru_params(

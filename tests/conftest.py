@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from spectral_ssm import HankelVariant, compute_filterbank, naive_featurize
+from spectral_ssm.stu import feature_streams, parity_cumsum
 
 VARIANTS = [HankelVariant.PRIMARY, HankelVariant.ALTERNATIVE]
 
@@ -78,6 +79,22 @@ def reference_stu_outputs(params, bank, inputs):
             g = g + y[:, t - i] @ params.M_y[i - 1].T
         y[:, t] = g
     return y
+
+
+def reference_streams(bank, K, inputs):
+    """The input convolved with each layer basis row, (batch, T, J, d_in):
+    feature_streams of the direct-summation features (naive_featurize) of the
+    first K filters, scaled by sigma^{1/4}."""
+    feats = naive_featurize(bank, inputs)
+    scale = bank.sigma[:K, None] ** 0.25
+    minus = feats.U_minus[:, :, :K] * scale if bank.variant is HankelVariant.PRIMARY else None
+    return feature_streams(inputs, feats.U_plus[:, :, :K] * scale, minus)
+
+
+def reference_cumulative_features(bank, K, inputs):
+    """The least-squares features as parity prefix sums over time of the
+    streams, the way the trainer built them from feature_streams."""
+    return parity_cumsum(reference_streams(bank, K, inputs))
 
 
 def rel_error(value, reference) -> float:

@@ -73,6 +73,30 @@ def test_config_file_contract(tmp_path, doc, flags, code, bank):
     assert sorted(p.name for p in out.glob("*")) == ([bank] if bank else [])
 
 
+@pytest.mark.parametrize("args", [
+    ("verify-theorem", "--systems", "2", "--L", "32", "--K", "2,4", "--d-max", "2"),
+    ("sweep-k", "--K", "2..4", "--length", "32", "--sequences", "2", "--seed", "5"),
+], ids=["verify-theorem", "sweep-k"])
+def test_config_echo_round_trips(tmp_path, args):
+    """A run's run.json config, fed back as --config, reproduces its artefacts."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    code = run_cli(*args, "--out", str(first))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(json.loads((first / "run.json").read_text())["config"]))
+    assert run_cli(args[0], "--config", str(cfg), "--out", str(second)) == code == 0
+    names = sorted(p.name for p in first.iterdir() if p.name != "run.json")
+    assert names and names == sorted(p.name for p in second.iterdir() if p.name != "run.json")
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize("K", [[], [2, "4"], [2, 4.5], [True], "5..2", "abc", "", "2,x"])
+def test_bad_k_in_config_is_64(tmp_path, K):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": K, "length": 32, "sequences": 2}))
+    assert run_cli("sweep-k", "--config", str(cfg), "--out", str(tmp_path / "out")) == 64
+
+
 class TestVerifyTheorem:
     def test_small_battery_passes(self, tmp_path):
         code = run_cli("verify-theorem", "--systems", "3", "--L", "64", "--K", "8",

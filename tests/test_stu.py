@@ -1,3 +1,4 @@
+import copy
 from functools import lru_cache
 
 import numpy as np
@@ -17,7 +18,13 @@ from spectral_ssm import (
 )
 from spectral_ssm.trainer import stu_loss_and_grads
 
-from conftest import fd_gradcheck, reference_stu_outputs
+from conftest import (
+    fd_gradcheck,
+    reference_cumulative_features,
+    reference_stu_outputs,
+    reference_streams,
+    rel_error,
+)
 
 PRIMARY, ALT = HankelVariant.PRIMARY, HankelVariant.ALTERNATIVE
 
@@ -114,7 +121,7 @@ class TestStuForward:
             getattr(solo, family)[:] = rng.standard_normal(getattr(solo, family).shape)
             getattr(base, family)[:] = getattr(solo, family)
             y1 = stu.forward(solo, bank64, u)
-            solo2 = solo.copy()
+            solo2 = copy.deepcopy(solo)
             getattr(solo2, family)[:] *= 2.0
             np.testing.assert_allclose(stu.forward(solo2, bank64, u), 2.0 * y1, atol=1e-10)
             doubled_total += y1
@@ -151,7 +158,7 @@ class TestArStuForward:
         rng = np.random.default_rng(5)
         u = rng.standard_normal((2, 33, 2))
         plain = random_params(rng, 6, 2, 2)
-        ar = plain.copy()
+        ar = copy.deepcopy(plain)
         ar.M_y = np.zeros((2, 2, 2))
         ar.M_y[1] = np.eye(2)
         np.testing.assert_allclose(
@@ -236,6 +243,39 @@ def kernel_cases(draw):
     )
 
 
+@st.composite
+def stream_cases(draw):
+    """(variant, L, bank K, [(K, T), ...], batch, d_in, seed) with
+    1 <= K <= bank K <= L <= 64 and 1 <= T <= L for every call."""
+    variant = draw(st.sampled_from([PRIMARY, ALT]))
+    L = draw(st.integers(1, 64))
+    bank_K = draw(st.integers(1, L))
+    calls = draw(st.lists(st.tuples(st.integers(1, bank_K), st.integers(1, L)), min_size=1, max_size=4))
+    return variant, L, bank_K, calls, draw(st.sampled_from([1, 3])), draw(st.integers(1, 2)), draw(st.integers(0, 2**16))
+
+
+class TestLayerStreams:
+    # fit_stu's streams and the least-squares features against direct
+    # summation.  Several (K, T) calls share one bank and its spectrum cache;
+    # T = 1 and 2 leave the spectral streams empty, T = 3 gives them one lag,
+    # and T = L reaches the last filter lag.
+    @given(case=stream_cases())
+    @example(case=(PRIMARY, 8, 4, [(3, 1), (4, 2), (1, 3), (2, 8)], 3, 2, 0))
+    @example(case=(ALT, 8, 4, [(3, 1), (4, 2), (1, 3), (2, 8)], 1, 1, 1))
+    @example(case=(PRIMARY, 64, 64, [(64, 64), (5, 1), (5, 2), (5, 3)], 1, 2, 2))
+    @example(case=(ALT, 64, 40, [(40, 64), (7, 3), (7, 64)], 3, 1, 3))
+    def test_match_direct_summation(self, case):
+        variant, L, bank_K, calls, B, d_in, seed = case
+        bank = compute_filterbank(L, bank_K, variant)
+        u = np.random.default_rng(seed).standard_normal((B, L, d_in))
+        for K, T in calls:
+            x = u[:, :T]
+            streams = stu.layer_streams(bank, K, x).transpose(2, 3, 0, 1)
+            assert rel_error(streams, reference_streams(bank, K, x)) <= 1e-12
+            features = stu.layer_streams(bank, K, x, cumulative=True).transpose(2, 3, 0, 1)
+            assert rel_error(features, reference_cumulative_features(bank, K, x)) <= 1e-12
+
+
 class TestSpectralKernel:
     # The spectral term is delayed two steps: T = 1 and 2 leave it empty and
     # T = 3 gives it one lag.  These edges always run, on both variants and
@@ -269,7 +309,10 @@ class TestSpectralKernel:
         # The trainer's feature-cached step: the kernel path's loss, and
         # gradients that match central differences.
         targets = rng.standard_normal(y.shape)
-        feats = stu.scaled_features(bank, K, u)
+        full = stu.featurize(bank, u)
+        scale = bank.sigma[:K, None] ** 0.25
+        feats = (full.U_plus[:, :, :K] * scale,
+                 full.U_minus[:, :, :K] * scale if variant is PRIMARY else None)
         loss, grads = stu_loss_and_grads(params, bank, u, targets, features=feats)
         own_loss = stu_loss_and_grads(params, bank, u, targets)[0]
         assert abs(loss - own_loss) <= 1e-10 * own_loss

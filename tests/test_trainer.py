@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -244,11 +246,11 @@ class TestLruForward:
     def test_gamma_coupling_is_input_scaling(self):
         rng = np.random.default_rng(13)
         base = init_lru_params(3, 2, 2, LruOptions(gamma_norm=False), seed=14)
-        coupled = base.copy()
+        coupled = copy.deepcopy(base)
         coupled.gamma_norm = True
         u = rng.standard_normal((1, 12, 2))
         mag, _ = base.lam_polar()
-        scaled = base.copy()
+        scaled = copy.deepcopy(base)
         scale = np.sqrt(1 - mag**2)
         scaled.B_re = base.B_re * scale[:, None]
         scaled.B_im = base.B_im * scale[:, None]

@@ -10,10 +10,9 @@ Exit codes: 0 success, 1 runtime error, 2 scientific check failed, 64 usage
 error (bad flag, unknown config key, invalid value).  Every run writes
 run.json (config echo, seed, versions, wall time) into the output directory;
 timing lives only there so the scientific artifacts are byte-identical across
-reruns of the same config and seed.
-
-Heavy imports happen inside commands so the thread budget can be applied to
-the BLAS pools before numpy initializes them.
+reruns of the same config and seed.  BLAS thread pools are sized by the
+environment (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...), which numpy reads
+when it loads, before any command runs.
 """
 
 from __future__ import annotations
@@ -26,19 +25,15 @@ import traceback
 from pathlib import Path
 
 import click
+import numpy as np
+
+from . import __version__, container, lds, stack, theory, trainer
+from . import filterbank as fb
+from .stu import save_stu_params
 
 
 class CheckFailed(Exception):
     """A scientific acceptance check failed (exit code 2)."""
-
-
-def _apply_thread_budget(threads: int | None, deterministic: bool) -> int | None:
-    if deterministic and threads is None:
-        threads = 1
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-    return threads
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
@@ -86,17 +81,13 @@ class RunContext:
         self.started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
     def finish(self, exit_code: int = 0) -> None:
-        import numpy
-
-        from . import __version__
-
         doc = {
             "command": self.command,
             "config": self.params,
             "seed": self.params["seed"],
             "versions": {
                 "spectral_ssm": __version__,
-                "numpy": numpy.__version__,
+                "numpy": np.__version__,
                 "python": sys.version.split()[0],
             },
             "exit_code": exit_code,
@@ -116,8 +107,6 @@ def _resolve_cache_root(out: str | None) -> Path:
 
 
 def _fixture_system(name: str):
-    from . import lds
-
     if name == "marginal":
         return lds.marginal_fixture()
     path = Path(name)
@@ -152,8 +141,6 @@ common_options = [
                  help="JSON object of option values (keys are parameter names)."),
     click.option("--out", type=str, default=None, help="Output directory."),
     click.option("--seed", type=int, default=0, show_default=True, help="Random seed."),
-    click.option("--threads", type=int, default=None, help="BLAS thread budget."),
-    click.option("--deterministic", is_flag=True, help="Force sequential reductions (threads=1)."),
 ]
 
 
@@ -164,10 +151,9 @@ def _with_common(f):
 
 
 def _start_run() -> RunContext:
-    """Apply the thread budget, before any heavy import, and open the run."""
+    """Open the run, echoing every option but --out."""
     ctx = click.get_current_context()
     params = {k: v for k, v in ctx.params.items() if k != "out"}
-    params["threads"] = _apply_thread_budget(params["threads"], params["deterministic"])
     return RunContext(ctx.info_name, ctx.params["out"] or f"runs/{ctx.info_name}", params)
 
 
@@ -184,8 +170,6 @@ def cli():
 def gen_filters(L, K, variant, out, **_):
     """Compute a filter bank and write it to the cache directory."""
     run = _start_run()
-    from . import filterbank as fb
-
     root = _resolve_cache_root(out)
     bank = fb.compute_filterbank(L, K, fb.HankelVariant(variant))
     directory = fb.save_filterbank(bank, root / fb.cache_key(bank.L, bank.K, bank.variant))
@@ -202,8 +186,6 @@ def gen_filters(L, K, variant, out, **_):
 def simulate_lds_cmd(fixture, length, batch, seed, **_):
     """Roll out a system on random inputs and store the trajectories."""
     run = _start_run()
-    from . import container, lds
-
     system = _fixture_system(fixture)
     u = lds.random_inputs(batch, length, system.d_in, seed)
     y = lds.simulate_lds(system, u)
@@ -228,11 +210,6 @@ def simulate_lds_cmd(fixture, length, batch, seed, **_):
 def verify_theorem(systems, L, K, d_max, variant, seed, **_):
     """Constructive approximation check over random symmetric systems."""
     run = _start_run()
-    import numpy as np
-
-    from . import filterbank as fb
-    from . import lds, theory
-
     bank = fb.compute_filterbank(L, max(K), fb.HankelVariant(variant))
     rows = []
     satisfied = 0
@@ -275,10 +252,6 @@ def verify_theorem(systems, L, K, d_max, variant, seed, **_):
 def verify_ar(systems, d_max, length, radius, rtol, seed, **_):
     """Check the exact finite autoregression against the rollout oracle."""
     run = _start_run()
-    import numpy as np
-
-    from . import lds, theory
-
     rng = np.random.default_rng(seed)
     rows = []
     failures = 0
@@ -315,9 +288,6 @@ def verify_ar(systems, d_max, length, radius, rtol, seed, **_):
 def fit_stu_cmd(fixture, K, k_y, length, sequences, steps, lr, seed, **_):
     """Train an STU layer on rollouts of a fixture system."""
     run = _start_run()
-    from . import filterbank as fb
-    from . import lds, trainer
-
     system = _fixture_system(fixture)
     bank = fb.compute_filterbank(length, K)
     u = lds.random_inputs(sequences, bank.L, system.d_in, seed + 1)
@@ -325,6 +295,7 @@ def fit_stu_cmd(fixture, K, k_y, length, sequences, steps, lr, seed, **_):
     tc = trainer.TrainConfig(learning_rate=lr, steps=steps, batch_size=1, seed=seed)
     report = trainer.fit_stu((u, y), bank, K, k_y, tc)
     _write_report(run, report, extra={"initial_mse": float((y**2).mean())})
+    save_stu_params(report.final_params, run.out / "params")
     run.finish()
     click.echo(f"final loss {report.loss_curve[-1]:.6e}")
 
@@ -347,8 +318,6 @@ def fit_lru_cmd(fixture, d_hidden, length, sequences, steps, lr, stable_exp, gam
                 ring_min, ring_max, max_phase, schedule, seed, **_):
     """Train the diagonal RNN baseline on rollouts of a fixture system."""
     run = _start_run()
-    from . import lds, trainer
-
     system = _fixture_system(fixture)
     u = lds.random_inputs(sequences, length, system.d_in, seed + 1)
     y = lds.simulate_lds(system, u)
@@ -361,6 +330,8 @@ def fit_lru_cmd(fixture, d_hidden, length, sequences, steps, lr, stable_exp, gam
     except trainer.TrainingDiverged as exc:
         report = exc.report
     _write_report(run, report, extra={"initial_mse": float((y**2).mean())})
+    container.save_arrays(run.out / "params", {"kind": "train_params"},
+                          dict(report.final_params.named_arrays()))
     run.finish()
     status = "diverged" if report.diverged else f"final loss {report.loss_curve[-1]:.6e}"
     click.echo(status)
@@ -378,9 +349,6 @@ def fit_lru_cmd(fixture, d_hidden, length, sequences, steps, lr, stable_exp, gam
 def sweep_k(fixture, K, length, sequences, noise_std, method, seed, **_):
     """Least-squares reconstruction error as a function of the filter count."""
     run = _start_run()
-    from . import filterbank as fb
-    from . import trainer
-
     system = _fixture_system(fixture)
     bank = fb.compute_filterbank(length, max(K))
     rows = trainer.k_sweep(system, K, bank, trainer.TrainConfig(seed=seed),
@@ -403,19 +371,15 @@ def sweep_k(fixture, K, length, sequences, noise_std, method, seed, **_):
 def train_stack_cmd(task, length, steps, lr, batch_size, n_train, n_eval, seed, **_):
     """Train the stacked classifier on a synthetic task."""
     run = _start_run()
-    from . import stack, trainer
-
     tc = trainer.TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, seed=seed)
     report = stack.train_stack(task, None, tc, L=length, n_train=n_train, n_eval=n_eval)
-    _write_report(run, report, params=False)
+    _write_report(run, report)
     stack.save_stack(report.final_params, run.out / "checkpoint")
     run.finish()
     click.echo(f"eval accuracy {report.metrics.get('eval_accuracy'):.4f}")
 
 
-def _write_report(run: RunContext, report, extra: dict | None = None, params: bool = True) -> None:
-    from . import container
-
+def _write_report(run: RunContext, report, extra: dict | None = None) -> None:
     doc = {
         "config": report.config.to_dict(),
         "diverged": report.diverged,
@@ -428,9 +392,6 @@ def _write_report(run: RunContext, report, extra: dict | None = None, params: bo
     _write_json(run.out / "report.json", doc)
     _write_csv(run.out / "loss.csv", ["step", "loss"],
                [(i, float(l)) for i, l in enumerate(report.loss_curve)])
-    if params:
-        container.save_arrays(run.out / "params", {"kind": "train_params"},
-                              dict(report.final_params.named_arrays()))
 
 
 def _json_safe(v) -> bool:

@@ -19,28 +19,30 @@ matrices over the last k_y outputs.
 
 The filters are fixed, so the whole increment g_t, taps and spectral term
 together, is one causal convolution of the input with the kernel
-h = sum_j M[j] basis[j]: M stacks M_u, M_plus and M_minus, and basis holds
-the matching lag profiles (unit impulses at lags 0, 1, 2 and the scaled
-filters delayed by two lags).  spectral_forward builds h with one matrix
-product, takes its spectrum W[f] = sum_j M[j] B_j[f], a (d_out, d_in) matrix
-per frequency bin, and applies it to the input spectrum as a matmul batched
-over bins, so no (batch, time, K, channel) tensor is ever built.
+h = sum_j M[j] basis[j]: M stacks M_u, M_plus and M_minus (stack_m), and
+basis holds the matching rows (_layer_rows) of the layer basis: unit impulses
+at lags 0, 1, 2 and the scaled filters delayed by two lags.  The bank caches
+that basis per length with its spectra B_j (_basis), so spectral_forward
+takes the kernel spectrum W[f] = sum_j M[j] B_j[f], a (d_out, d_in) matrix
+per frequency bin, in one product and applies it to the input spectrum as a
+matmul batched over batch and bins; no (batch, time, K, channel) tensor is
+ever built.
 spectral_backward is the one adjoint: the output recursion runs backwards (a
-reverse parity prefix sum, or backprop through time when M_y is learned), the
-input gradient is the correlation with the kernel (conj(W) per bin), and the
-parameter gradients come from the Parseval pairing of the adjoint spectrum
-with the input spectrum, Lam[f] conj(U[f]), taken back to lags and projected
-on each basis row.  Every contraction is a matmul.
+reverse parity prefix sum, or a reverse scan on the companion form when M_y
+is learned), the input gradient is the correlation with the kernel (conj(W)
+per bin), and the parameter gradients come from the Parseval pairing of the
+adjoint spectrum with the input spectrum, Lam[f] conj(U[f]), taken back to
+lags and projected on each basis row.  Every contraction is a matmul.
 
 forward, the stack and the trainer's default step run through this pair; the
 params and the bank alone decide the filter family and whether M_y is
-learned.  Every materialized feature (featurize, fit_stu's streams and the
-least-squares features) comes from one routine, _convolve_profiles: it
-convolves the input with the bank's lag profiles, whose spectra and their
-parity prefix sums the bank caches per length.  layer_streams uses the
-kernel's parameter layout, so one contraction with the stacked M (stack_m)
-gives the increments, or with cumulative the outputs, and one contraction
-with the increment adjoint gives the stacked gradient that split_m names.
+learned.  Every materialized feature comes from one time-last FFT
+convolution, _convolve: featurize convolves the input with the bank's
+filters, and layer_streams with the cached basis (its parity prefix sums
+with cumulative) in the kernel's parameter layout, so one contraction with
+stack_m gives the increments, or with cumulative the outputs, and one
+contraction with the increment adjoint gives the stacked gradient that
+split_m names.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import scipy.fft as sfft
 
 from .container import load_arrays, save_arrays
 from .filterbank import FilterBank, HankelVariant, _as_variant
+from .lds import linear_scan
 
 
 @dataclass
@@ -137,72 +140,70 @@ def _fft_length(L: int) -> int:
 _CHUNK_BYTES = 4 << 20
 
 
-def _profiles(bank: FilterBank, T: int) -> np.ndarray:
-    """(1 + 2 bank.K, T): the unit impulse, the scaled filters and their alternating
-    copies, truncated to T lags; each _layer_basis row is one delayed (_layer_rows)."""
-    filters = bank.scaled_phi[:, :T]
-    return np.concatenate([np.eye(1, T), filters, filters * (-1.0) ** np.arange(T)])
+def _basis(bank: FilterBank, T: int):
+    """The layer basis for T steps and its spectra, cached on the bank per T.
 
-
-def _profile_spectra(bank: FilterBank, T: int):
-    """rfft of _profiles and of their parity prefix sums, cached on the bank per
-    T; the truncation to T lags keeps wrap-around out of the first T outputs."""
+    The basis is (3 + 2 bank.K, T): unit impulses at lags 0, 1 and 2, then
+    the scaled filters and their alternating copies, delayed two lags; each
+    filter is delayed before it is truncated to T, so no tap wraps around at
+    _fft_length(T).  Returned with the rfft of the basis and of its parity
+    prefix sums at that length; _layer_rows picks a layer's rows.
+    """
     if T not in bank.spectra:
-        profiles, n = _profiles(bank, T), _fft_length(T)
-        bank.spectra[T] = (sfft.rfft(profiles, n), sfft.rfft(parity_cumsum(profiles), n))
+        filters = bank.scaled_phi[:, : max(T - 2, 0)]
+        basis = np.zeros((3 + 2 * bank.K, T))
+        basis[:3] = np.eye(3, T)
+        basis[3 : 3 + bank.K, 2:] = filters
+        basis[3 + bank.K :, 2:] = filters * (-1.0) ** np.arange(filters.shape[1])
+        n = _fft_length(T)
+        bank.spectra[T] = basis, sfft.rfft(basis, n), sfft.rfft(parity_cumsum(basis), n)
     return bank.spectra[T]
 
 
-def _layer_rows(bank: FilterBank, K: int):
-    """The _profiles row and the lag of each _layer_basis row for K filters."""
+def _layer_rows(bank: FilterBank, K: int) -> np.ndarray:
+    """The _basis rows of a layer with K filters, in stack_m's order."""
     if K > bank.K:
         raise ValueError(f"need {K} filters but bank has {bank.K}")
-    filters = np.arange(1, K + 1)
+    rows = np.arange(3 + K)
     if bank.variant is HankelVariant.PRIMARY:
-        filters = np.concatenate([filters, filters + bank.K])
-    return np.r_[0, 0, 0, filters], np.r_[0, 1, 2, np.full(len(filters), 2)]
+        rows = np.concatenate([rows, np.arange(3 + bank.K, 3 + bank.K + K)])
+    return rows
 
 
-def _delay_into(out: np.ndarray, src: np.ndarray, lags) -> None:
-    """out[j, ..., t] = src[j, ..., t - lags[j]], zero before; one slice per run of lags."""
-    ends = [*np.flatnonzero(np.diff(lags)) + 1, len(lags)]
-    for a, b in zip([0, *ends[:-1]], ends):
-        out[a:b, ..., : lags[a]] = 0.0
-        out[a:b, ..., lags[a] :] = src[a:b, ..., : max(out.shape[-1] - lags[a], 0)]
-
-
-def _convolve_profiles(bank: FilterBank, inputs: np.ndarray, rows, lags, cumulative=False):
-    """(len(rows), d_in, batch, T): the input convolved with each _profiles row (its
-    parity prefix sum when cumulative), delayed by its lag.  Time stays on the last,
-    contiguous axis from rfft to irfft, and rows run in chunks of _CHUNK_BYTES."""
+def _convolve(spectra: np.ndarray, inputs: np.ndarray, out=None) -> np.ndarray:
+    """(rows, d_in, batch, T): the input convolved with each row whose rfft at
+    _fft_length(T) is a row of spectra, written into out (which may be a
+    transposed view) when given.  Time stays on the last, contiguous axis from
+    rfft to irfft, and rows run in chunks of _CHUNK_BYTES."""
     B, T, C = inputs.shape
     n = _fft_length(T)
-    spectra = _profile_spectra(bank, T)[int(cumulative)]
     xf = sfft.rfft(np.ascontiguousarray(inputs.transpose(2, 0, 1)), n)  # (C, B, bins)
-    out = np.empty((len(rows), C, B, T))
+    if out is None:
+        out = np.empty((len(spectra), C, B, T))
     step = max(1, _CHUNK_BYTES // (16 * xf.size))
-    for j in range(0, len(rows), step):
-        conv = sfft.irfft(spectra[rows[j : j + step], None, None] * xf, n)
-        _delay_into(out[j : j + step], conv, lags[j : j + step])
+    for j in range(0, len(spectra), step):
+        out[j : j + step] = sfft.irfft(spectra[j : j + step, None, None] * xf, n)[..., :T]
     return out
 
 
 def layer_streams(bank: FilterBank, K: int, inputs: np.ndarray, cumulative=False) -> np.ndarray:
-    """The input convolved with each _layer_basis row for K filters, (J, d_in,
+    """The input convolved with each layer basis row for K filters, (J, d_in,
     batch, T); contracted with stack_m they give the increments g_t.  With
     cumulative they are parity prefix sums over time, and the same
     contraction gives the outputs y_t = y_{t-2} + g_t."""
-    return _convolve_profiles(bank, _check_inputs(inputs, bank), *_layer_rows(bank, K), cumulative)
+    inputs = _check_inputs(inputs, bank)
+    spectra = _basis(bank, inputs.shape[1])[1 + bool(cumulative)]
+    return _convolve(spectra[_layer_rows(bank, K)], inputs)
 
 
 def featurize(bank: FilterBank, inputs: np.ndarray) -> SpectralFeatures:
-    """FFT featurization against the bank's (unscaled) filters: the scaled filter
-    profiles' convolutions over sigma^{1/4}, which compute_filterbank keeps positive."""
+    """FFT featurization against the bank's filters and their alternating copies."""
     inputs = _check_inputs(inputs, bank)
-    rows = np.arange(1, 1 + 2 * bank.K)
-    out = _convolve_profiles(bank, inputs, rows, np.zeros_like(rows))
-    out /= np.tile(bank.sigma**0.25, 2)[:, None, None, None]
-    out = np.ascontiguousarray(out.transpose(2, 3, 0, 1))  # (B, T, 2K, C)
+    B, T, C = inputs.shape
+    filters = bank.phi[:, :T]
+    spectra = sfft.rfft(np.concatenate([filters, filters * (-1.0) ** np.arange(T)]), _fft_length(T))
+    out = np.empty((B, T, 2 * bank.K, C))
+    _convolve(spectra, inputs, out.transpose(2, 3, 0, 1))
     return SpectralFeatures(U_plus=out[:, :, : bank.K], U_minus=out[:, :, bank.K :])
 
 
@@ -232,37 +233,36 @@ def parity_cumsum(g: np.ndarray) -> np.ndarray:
     return out
 
 
+def _companion_scan(params: StuParams, b: np.ndarray, reverse: bool) -> np.ndarray:
+    """y_t = sum_i M_y[i-1] y_{t-i} + b_t (its adjoint with reverse) as one
+    linear_scan: the state stacks the last k_y outputs, so its matrix has M_y
+    in the first block row and an identity shift below it."""
+    B, T, d = b.shape
+    A = np.eye(params.k_y * d, k=-d)
+    A[:d] = params.M_y.transpose(1, 0, 2).reshape(d, -1)
+    x = np.zeros((B, T, len(A)))
+    x[..., :d] = b
+    return np.ascontiguousarray(linear_scan(A.T if reverse else A, x, reverse)[..., :d])
+
+
 def recurse_outputs(params: StuParams, g: np.ndarray) -> np.ndarray:
     """Resolve the output recursion over the increments: a parity prefix sum
-    for the fixed y_{t-2} coupling, a sequential scan when M_y is learned."""
+    for the fixed y_{t-2} coupling, a scan on the companion form when M_y is
+    learned."""
     if params.k_y == 0:
         return parity_cumsum(g)
-    B, T, _ = g.shape
-    y = np.zeros_like(g)
-    for t in range(T):
-        acc = g[:, t]
-        for i in range(1, min(params.k_y, t) + 1):
-            acc = acc + y[:, t - i] @ params.M_y[i - 1].T
-        y[:, t] = acc
-    return y
+    return _companion_scan(params, g, reverse=False)
 
 
 def output_adjoint(params: StuParams, dy: np.ndarray) -> np.ndarray:
     """Adjoint of recurse_outputs: the increment gradient dL/dg from dL/dy.
 
-    A reverse parity prefix sum for the fixed coupling; backprop through time
-    over the last k_y outputs when M_y is learned.
+    A reverse parity prefix sum for the fixed coupling; a reverse scan on the
+    transposed companion form when M_y is learned.
     """
     if params.k_y == 0:
         return parity_cumsum(dy[:, ::-1])[:, ::-1]
-    T = dy.shape[1]
-    lam = np.zeros_like(dy)
-    for t in range(T - 1, -1, -1):
-        acc = dy[:, t].copy()
-        for i in range(1, min(params.k_y, T - 1 - t) + 1):
-            acc += lam[:, t + i] @ params.M_y[i - 1]
-        lam[:, t] = acc
-    return lam
+    return _companion_scan(params, dy, reverse=True)
 
 
 def _m_y_grads(params: StuParams, lam: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -284,19 +284,9 @@ def _check_layer(params: StuParams, bank: FilterBank, inputs) -> np.ndarray:
     return inputs
 
 
-def _layer_basis(params: StuParams, bank: FilterBank, T: int) -> np.ndarray:
-    """(3 + n_filters, T) lag profiles, one per stacked parameter matrix:
-    unit impulses at lags 0, 1 and 2 for M_u, then the scaled filters (and
-    their alternating-sign copies) delayed by two lags for M_phi."""
-    rows, lags = _layer_rows(bank, params.K)
-    basis = np.empty((len(rows), T))
-    _delay_into(basis, _profiles(bank, T)[rows], lags)
-    return basis
-
-
 def stack_m(params: StuParams) -> np.ndarray:
     """The (J, d_out, d_in) stack [M_u; M_phi_plus; M_phi_minus], one matrix
-    per _layer_basis row and feature_streams stream."""
+    per layer basis row (_layer_rows) and feature_streams stream."""
     return np.concatenate([params.M_u, params.M_phi_plus, params.M_phi_minus])
 
 
@@ -315,11 +305,11 @@ def layer_grads(params: StuParams, dM: np.ndarray, lam: np.ndarray, y: np.ndarra
 
 
 def feature_streams(inputs: np.ndarray, su_plus, su_minus) -> np.ndarray:
-    """The input convolved with each _layer_basis row, (batch, T, J, d_in),
-    assembled from scaled features (as from scaled_features; su_minus is None
-    for the alternative family): taps u_t, u_{t-1}, u_{t-2}, then the
-    features delayed two steps.  Contracted with stack_m they give the
-    increments g_t."""
+    """The input convolved with each layer basis row, (batch, T, J, d_in),
+    assembled from sigma^{1/4}-scaled features (featurize's, times
+    sigma^{1/4}; su_minus is None for the alternative family): taps u_t,
+    u_{t-1}, u_{t-2}, then the features delayed two steps.  Contracted with
+    stack_m they give the increments g_t."""
     B, T, d_in = inputs.shape
     spectral = [su for su in (su_plus, su_minus) if su is not None]
     streams = np.zeros((B, T, 3 + sum(su.shape[2] for su in spectral), d_in))
@@ -337,21 +327,23 @@ def spectral_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray):
 
     The increments g_t are one causal convolution of the input with the
     kernel h = sum_j M[j] basis[j] (taps and spectral term together), whose
-    spectrum W[f] is a (d_out, d_in) matrix per frequency bin.  Spectra are
-    kept frequency-major, (bins, batch, channels), so applying W is a matmul
-    batched over bins.
+    spectrum W[f] = sum_j M[j] B_j[f] is a (d_out, d_in) matrix per frequency
+    bin, one product with the bank's cached basis spectra B.  Spectra are
+    kept batch-major, (batch, bins, channels): the transforms run along the
+    time axis of (batch, time, channels) arrays with no transpose, and
+    applying W is a matmul batched over batch and bins.
     """
     x = _check_layer(params, bank, inputs)
     T = x.shape[1]
     n = _fft_length(T)
-    basis = _layer_basis(params, bank, T)
+    basis, spectra, _ = _basis(bank, T)
+    rows = _layer_rows(bank, params.K)
     M = stack_m(params)
-    h = basis.T @ M.reshape(len(M), -1)  # (T, d_out * d_in)
-    W = np.fft.rfft(h, n=n, axis=0).reshape(-1, params.d_out, params.d_in)
-    xf = np.fft.rfft(x.transpose(1, 0, 2), n=n, axis=0)  # (bins, B, d_in)
-    g = np.fft.irfft(xf @ W.transpose(0, 2, 1), n=n, axis=0)[:T].transpose(1, 0, 2)
+    W = (spectra[rows].T @ M.reshape(len(M), -1)).reshape(-1, params.d_out, params.d_in)
+    xf = sfft.rfft(x, n, axis=1)  # (B, bins, d_in)
+    g = sfft.irfft((xf[:, :, None] @ W.transpose(0, 2, 1))[:, :, 0], n, axis=1)[:, :T]
     y = recurse_outputs(params, g)
-    return y, {"y": y, "basis": basis, "W": W, "xf": xf, "n": n}
+    return y, {"y": y, "basis": basis[rows], "W": W, "xf": xf, "n": n}
 
 
 def spectral_backward(params: StuParams, cache: dict, dy: np.ndarray):
@@ -366,9 +358,9 @@ def spectral_backward(params: StuParams, cache: dict, dy: np.ndarray):
     y, n = cache["y"], cache["n"]
     T = y.shape[1]
     lam = output_adjoint(params, dy)
-    lf = np.fft.rfft(lam.transpose(1, 0, 2), n=n, axis=0)  # (bins, B, d_out)
-    dx = np.fft.irfft(lf @ cache["W"].conj(), n=n, axis=0)[:T].transpose(1, 0, 2)
-    dh = np.fft.irfft(lf.transpose(0, 2, 1) @ cache["xf"].conj(), n=n, axis=0)[:T]
+    lf = sfft.rfft(lam, n, axis=1)  # (B, bins, d_out)
+    dx = sfft.irfft((lf[:, :, None] @ cache["W"].conj())[:, :, 0], n, axis=1)[:, :T]
+    dh = sfft.irfft(lf.transpose(1, 2, 0) @ cache["xf"].conj().transpose(1, 0, 2), n, axis=0)[:T]
     dM = (cache["basis"] @ dh.reshape(T, -1)).reshape(-1, params.d_out, params.d_in)
     return dx, layer_grads(params, dM, lam, y)
 

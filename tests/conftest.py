@@ -120,6 +120,31 @@ def loop_scan(a, b, reverse=False):
     return out
 
 
+def loop_recurse_outputs(params, g):
+    """y_t = g_t + sum_{i=1..k_y} M_y[i-1] y_{t-i}, step by step."""
+    T = g.shape[1]
+    y = np.zeros_like(g)
+    for t in range(T):
+        acc = g[:, t]
+        for i in range(1, min(params.k_y, t) + 1):
+            acc = acc + y[:, t - i] @ params.M_y[i - 1].T
+        y[:, t] = acc
+    return y
+
+
+def loop_output_adjoint(params, dy):
+    """The adjoint of loop_recurse_outputs, lam_t = dy_t + sum_{i=1..k_y}
+    M_y[i-1]^T lam_{t+i}, by backpropagation through time."""
+    T = dy.shape[1]
+    lam = np.zeros_like(dy)
+    for t in range(T - 1, -1, -1):
+        acc = dy[:, t].copy()
+        for i in range(1, min(params.k_y, T - 1 - t) + 1):
+            acc += lam[:, t + i] @ params.M_y[i - 1]
+        lam[:, t] = acc
+    return lam
+
+
 def loop_simulate_lds(params, inputs, x0=None):
     """The rollout x_t = A x_{t-1} + B u_t, y_t = C x_t + D u_t, step by step."""
     batch, T, _ = inputs.shape

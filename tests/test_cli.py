@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from spectral_ssm.cli import main
@@ -64,7 +65,9 @@ class TestExitCodes:
     ({"L": 16, "K": 2, "lenght": 32}, [], 64, None),
     ({"L": 16, "K": 2, "variant": "nope"}, [], 64, None),
     ({"L": 16, "K": "two"}, [], 64, None),
-], ids=["flag-beats-file", "file-beats-default", "unknown-key", "bad-choice", "bad-type"])
+    ({"L": 16, "K": 2, "threads": 1, "deterministic": True}, [], 64, None),
+], ids=["flag-beats-file", "file-beats-default", "unknown-key", "bad-choice", "bad-type",
+        "removed-thread-keys"])
 def test_config_file_contract(tmp_path, doc, flags, code, bank):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -169,6 +172,22 @@ class TestFitCommands:
         assert run["command"] == "fit-stu"
         assert "wall_time_s" in run
 
+    def test_fit_stu_params_load(self, tmp_path):
+        from spectral_ssm import compute_filterbank, fit_stu, load_stu_params, lds
+        from spectral_ssm.trainer import TrainConfig
+
+        assert run_cli("fit-stu", "--length", "32", "--K", "4", "--k-y", "1", "--sequences", "2",
+                       "--steps", "5", "--seed", "3", "--out", str(tmp_path)) == 0
+        params = load_stu_params(tmp_path / "params")
+        system = lds.marginal_fixture()
+        u = lds.random_inputs(2, 32, system.d_in, 4)
+        report = fit_stu((u, lds.simulate_lds(system, u)), compute_filterbank(32, 4), 4, 1,
+                         TrainConfig(learning_rate=5e-3, steps=5, batch_size=1, seed=3))
+        expect = dict(report.final_params.named_arrays())
+        assert (params.K, params.k_y) == (4, 1)
+        for name, arr in params.named_arrays():
+            assert np.array_equal(arr, expect[name]), name
+
     def test_fit_lru_smoke(self, tmp_path):
         code = run_cli("fit-lru", "--length", "32", "--sequences", "2", "--steps", "5",
                        "--d-hidden", "4", "--out", str(tmp_path))
@@ -214,10 +233,3 @@ class TestTrainStack:
         report = json.loads((tmp_path / "report.json").read_text())
         assert "eval_accuracy" in report["metrics"]
 
-
-def test_deterministic_flag_sets_thread_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    import os
-
-    run_cli("gen-filters", "--L", "8", "--K", "2", "--out", str(tmp_path), "--deterministic")
-    assert os.environ.get("OMP_NUM_THREADS") == "1"

@@ -20,6 +20,8 @@ from spectral_ssm.trainer import stu_loss_and_grads
 
 from conftest import (
     fd_gradcheck,
+    loop_output_adjoint,
+    loop_recurse_outputs,
     reference_cumulative_features,
     reference_stu_outputs,
     reference_streams,
@@ -288,6 +290,12 @@ class TestSpectralKernel:
     @example(case=(PRIMARY, 3, 3, 3, 3, 2, 3, 2, 2, 4))
     @example(case=(ALT, 3, 2, 2, 3, 1, 1, 1, 1, 5))
     @example(case=(PRIMARY, 32, 8, 8, 3, 0, 3, 2, 2, 6))
+    # T = L = 32: the FFT length is exactly 2T, so a basis tap past T - 1
+    # would wrap around into the first outputs.
+    @example(case=(PRIMARY, 32, 8, 8, 32, 0, 3, 2, 2, 7))
+    @example(case=(PRIMARY, 32, 8, 6, 32, 2, 1, 1, 2, 8))
+    @example(case=(ALT, 32, 8, 8, 32, 0, 1, 2, 1, 9))
+    @example(case=(ALT, 32, 8, 5, 32, 2, 3, 1, 2, 10))
     def test_matches_naive_reference_and_central_differences(self, case):
         variant, L, bank_K, K, T, k_y, B, d_in, d_out, seed = case
         bank = small_bank(L, variant).head(bank_K)
@@ -329,6 +337,39 @@ class TestSpectralKernel:
             stu.spectral_forward(params, bank64, np.zeros((1, 8, 3)))
         with pytest.raises(ValueError, match="exceeds bank length"):
             stu.spectral_forward(params, bank64, np.zeros((1, 65, 2)))
+
+
+@st.composite
+def recursion_cases(draw):
+    """(k_y, d_out, T, batch, companion spectral radius, seed)."""
+    return (
+        draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 300)),
+        draw(st.sampled_from([1, 3])), draw(st.floats(0.5, 1.0)), draw(st.integers(0, 2**16)),
+    )
+
+
+class TestOutputRecursion:
+    # The companion-form scans against the step-by-step loops.  T <= k_y
+    # leaves lags of M_y unused; radius 1 is the marginally stable edge.
+    @given(case=recursion_cases())
+    @example(case=(1, 1, 1, 1, 1.0, 0))
+    @example(case=(2, 3, 2, 3, 0.5, 1))
+    @example(case=(3, 8, 3, 1, 1.0, 2))
+    @example(case=(3, 2, 300, 3, 1.0, 3))
+    @example(case=(2, 8, 300, 1, 0.5, 4))
+    def test_scans_match_loops(self, case):
+        k_y, d, T, B, radius, seed = case
+        rng = np.random.default_rng(seed)
+        M_y = rng.standard_normal((k_y, d, d))
+        companion = np.eye(k_y * d, k=-d)
+        companion[:d] = np.concatenate(list(M_y), axis=1)
+        # Scaling M_y[i-1] by c^i scales every companion eigenvalue by c.
+        c = radius / np.abs(np.linalg.eigvals(companion)).max()
+        params = StuParams.zeros(1, 1, d, k_y=k_y)
+        params.M_y[:] = M_y * (c ** np.arange(1, k_y + 1))[:, None, None]
+        g = rng.standard_normal((B, T, d))
+        assert rel_error(stu.recurse_outputs(params, g), loop_recurse_outputs(params, g)) <= 1e-12
+        assert rel_error(stu.output_adjoint(params, g), loop_output_adjoint(params, g)) <= 1e-12
 
 
 class TestStuParams:

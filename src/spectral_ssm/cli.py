@@ -7,8 +7,10 @@ value resolves as flag > config file > built-in default, and a config value
 is typed and checked exactly like the flag of the same name.
 
 Exit codes: 0 success, 1 runtime error, 2 scientific check failed, 64 usage
-error (bad flag, unknown config key, invalid value).  Every run writes
-run.json (config echo, seed, versions, wall time) into the output directory;
+error (bad flag, unknown config key, invalid value).  Every run that starts
+writes run.json (config echo, seed, versions, exit code, wall time) into the
+output directory, whether it succeeds or fails (RunCommand); a usage error
+writes nothing;
 timing lives only there so the scientific artifacts are byte-identical across
 reruns of the same config and seed.  BLAS thread pools are sized by the
 environment (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...), which numpy reads
@@ -135,26 +137,34 @@ class IntList(click.ParamType):
         return values
 
 
-common_options = [
-    click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
-                 expose_value=False, callback=_load_config,
-                 help="JSON object of option values (keys are parameter names)."),
-    click.option("--out", type=str, default=None, help="Output directory."),
-    click.option("--seed", type=int, default=0, show_default=True, help="Random seed."),
-]
+class RunCommand(click.Command):
+    """A command with the common options whose run writes run.json however
+    it ends: exit code 0 on success, 2 when a scientific check fails, 1 on
+    any other error.  A usage error, from parsing or from the command (an
+    unknown fixture), writes nothing.  The callback gets the RunContext as
+    its first argument; its config echoes every option but --out."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params += [
+            click.Option(["--config"], type=click.Path(exists=True, dir_okay=False), is_eager=True,
+                         expose_value=False, callback=_load_config,
+                         help="JSON object of option values (keys are parameter names)."),
+            click.Option(["--out"], type=str, default=None, help="Output directory."),
+            click.Option(["--seed"], type=int, default=0, show_default=True, help="Random seed."),
+        ]
 
-def _with_common(f):
-    for opt in reversed(common_options):
-        f = opt(f)
-    return f
-
-
-def _start_run() -> RunContext:
-    """Open the run, echoing every option but --out."""
-    ctx = click.get_current_context()
-    params = {k: v for k, v in ctx.params.items() if k != "out"}
-    return RunContext(ctx.info_name, ctx.params["out"] or f"runs/{ctx.info_name}", params)
+    def invoke(self, ctx: click.Context):
+        params = {k: v for k, v in ctx.params.items() if k != "out"}
+        run = RunContext(ctx.info_name, ctx.params["out"] or f"runs/{ctx.info_name}", params)
+        try:
+            ctx.invoke(self.callback, run, **ctx.params)
+        except click.UsageError:
+            raise
+        except Exception as exc:
+            run.finish(2 if isinstance(exc, CheckFailed) else 1)
+            raise
+        run.finish(0)
 
 
 @click.group()
@@ -162,30 +172,28 @@ def cli():
     """Spectral state space model toolkit."""
 
 
+cli.command_class = RunCommand
+
+
 @cli.command("gen-filters")
 @click.option("--L", "L", type=int, default=256, show_default=True)
 @click.option("--K", "K", type=int, default=24, show_default=True)
 @click.option("--variant", type=click.Choice(["primary", "alternative"]), default="primary")
-@_with_common
-def gen_filters(L, K, variant, out, **_):
+def gen_filters(run, L, K, variant, out, **_):
     """Compute a filter bank and write it to the cache directory."""
-    run = _start_run()
-    root = _resolve_cache_root(out)
+    # run.json goes with the bank, or into the cache root if the run fails.
+    run.out = root = _resolve_cache_root(out)
     bank = fb.compute_filterbank(L, K, fb.HankelVariant(variant))
-    directory = fb.save_filterbank(bank, root / fb.cache_key(bank.L, bank.K, bank.variant))
-    run.out = directory
-    run.finish()
-    click.echo(f"wrote {directory}")
+    run.out = fb.save_filterbank(bank, root / fb.cache_key(bank.L, bank.K, bank.variant))
+    click.echo(f"wrote {run.out}")
 
 
 @cli.command("simulate-lds")
 @click.option("--fixture", default="marginal", show_default=True)
 @click.option("--length", type=int, default=256, show_default=True)
 @click.option("--batch", type=int, default=4, show_default=True)
-@_with_common
-def simulate_lds_cmd(fixture, length, batch, seed, **_):
+def simulate_lds_cmd(run, fixture, length, batch, seed, **_):
     """Roll out a system on random inputs and store the trajectories."""
-    run = _start_run()
     system = _fixture_system(fixture)
     u = lds.random_inputs(batch, length, system.d_in, seed)
     y = lds.simulate_lds(system, u)
@@ -195,7 +203,6 @@ def simulate_lds_cmd(fixture, length, batch, seed, **_):
         "fixture": fixture, "batch": batch, "length": length,
         "output_rms": float((y**2).mean() ** 0.5),
     })
-    run.finish()
     click.echo(f"wrote {run.out}")
 
 
@@ -206,10 +213,8 @@ def simulate_lds_cmd(fixture, length, batch, seed, **_):
               help="Comma list of filter counts.")
 @click.option("--d-max", type=int, default=16, show_default=True)
 @click.option("--variant", type=click.Choice(["primary", "alternative"]), default="primary")
-@_with_common
-def verify_theorem(systems, L, K, d_max, variant, seed, **_):
+def verify_theorem(run, systems, L, K, d_max, variant, seed, **_):
     """Constructive approximation check over random symmetric systems."""
-    run = _start_run()
     bank = fb.compute_filterbank(L, max(K), fb.HankelVariant(variant))
     rows = []
     satisfied = 0
@@ -236,7 +241,6 @@ def verify_theorem(systems, L, K, d_max, variant, seed, **_):
         for K_i in K
     ]
     _write_csv(run.out / "ksweep.csv", ["K", "max_err", "bound"], per_k)
-    run.finish(0 if satisfied == total else 2)
     click.echo(f"{satisfied}/{total} checks satisfied")
     if satisfied != total:
         raise CheckFailed(f"{total - satisfied} bound violations")
@@ -248,10 +252,8 @@ def verify_theorem(systems, L, K, d_max, variant, seed, **_):
 @click.option("--length", type=int, default=200, show_default=True)
 @click.option("--radius", type=float, default=0.99, show_default=True)
 @click.option("--rtol", type=float, default=1e-8, show_default=True)
-@_with_common
-def verify_ar(systems, d_max, length, radius, rtol, seed, **_):
+def verify_ar(run, systems, d_max, length, radius, rtol, seed, **_):
     """Check the exact finite autoregression against the rollout oracle."""
-    run = _start_run()
     rng = np.random.default_rng(seed)
     rows = []
     failures = 0
@@ -270,7 +272,6 @@ def verify_ar(systems, d_max, length, radius, rtol, seed, **_):
         "max_rel_err": max(r for _, _, r in rows),
     })
     _write_csv(run.out / "errors.csv", ["system", "d", "rel_err"], rows)
-    run.finish(0 if failures == 0 else 2)
     click.echo(f"{systems - failures}/{systems} exact")
     if failures:
         raise CheckFailed(f"{failures} systems exceeded rtol")
@@ -284,10 +285,8 @@ def verify_ar(systems, d_max, length, radius, rtol, seed, **_):
 @click.option("--sequences", type=int, default=32, show_default=True)
 @click.option("--steps", type=int, default=2000, show_default=True)
 @click.option("--lr", type=float, default=5e-3, show_default=True)
-@_with_common
-def fit_stu_cmd(fixture, K, k_y, length, sequences, steps, lr, seed, **_):
+def fit_stu_cmd(run, fixture, K, k_y, length, sequences, steps, lr, seed, **_):
     """Train an STU layer on rollouts of a fixture system."""
-    run = _start_run()
     system = _fixture_system(fixture)
     bank = fb.compute_filterbank(length, K)
     u = lds.random_inputs(sequences, bank.L, system.d_in, seed + 1)
@@ -296,7 +295,6 @@ def fit_stu_cmd(fixture, K, k_y, length, sequences, steps, lr, seed, **_):
     report = trainer.fit_stu((u, y), bank, K, k_y, tc)
     _write_report(run, report, extra={"initial_mse": float((y**2).mean())})
     save_stu_params(report.final_params, run.out / "params")
-    run.finish()
     click.echo(f"final loss {report.loss_curve[-1]:.6e}")
 
 
@@ -313,11 +311,9 @@ def fit_stu_cmd(fixture, K, k_y, length, sequences, steps, lr, seed, **_):
 @click.option("--ring-max", type=float, default=0.999, show_default=True)
 @click.option("--max-phase", type=float, default=6.28, show_default=True)
 @click.option("--schedule", type=click.Choice(["constant", "warmup_cosine"]), default="warmup_cosine")
-@_with_common
-def fit_lru_cmd(fixture, d_hidden, length, sequences, steps, lr, stable_exp, gamma_norm,
+def fit_lru_cmd(run, fixture, d_hidden, length, sequences, steps, lr, stable_exp, gamma_norm,
                 ring_min, ring_max, max_phase, schedule, seed, **_):
     """Train the diagonal RNN baseline on rollouts of a fixture system."""
-    run = _start_run()
     system = _fixture_system(fixture)
     u = lds.random_inputs(sequences, length, system.d_in, seed + 1)
     y = lds.simulate_lds(system, u)
@@ -332,7 +328,6 @@ def fit_lru_cmd(fixture, d_hidden, length, sequences, steps, lr, stable_exp, gam
     _write_report(run, report, extra={"initial_mse": float((y**2).mean())})
     container.save_arrays(run.out / "params", {"kind": "train_params"},
                           dict(report.final_params.named_arrays()))
-    run.finish()
     status = "diverged" if report.diverged else f"final loss {report.loss_curve[-1]:.6e}"
     click.echo(status)
 
@@ -345,16 +340,13 @@ def fit_lru_cmd(fixture, d_hidden, length, sequences, steps, lr, stable_exp, gam
 @click.option("--sequences", type=int, default=8, show_default=True)
 @click.option("--noise-std", type=float, default=0.0, show_default=True)
 @click.option("--method", type=click.Choice(["ls", "sgd"]), default="ls", show_default=True)
-@_with_common
-def sweep_k(fixture, K, length, sequences, noise_std, method, seed, **_):
+def sweep_k(run, fixture, K, length, sequences, noise_std, method, seed, **_):
     """Least-squares reconstruction error as a function of the filter count."""
-    run = _start_run()
     system = _fixture_system(fixture)
     bank = fb.compute_filterbank(length, max(K))
     rows = trainer.k_sweep(system, K, bank, trainer.TrainConfig(seed=seed),
                            n_sequences=sequences, method=method, noise_std=noise_std)
     _write_csv(run.out / "sweep.csv", ["K", "final_error"], [(k, float(e)) for k, e in rows])
-    run.finish()
     click.echo(f"wrote {run.out / 'sweep.csv'}")
 
 
@@ -367,15 +359,12 @@ def sweep_k(fixture, K, length, sequences, noise_std, method, seed, **_):
 @click.option("--batch-size", type=int, default=64, show_default=True)
 @click.option("--n-train", type=int, default=2048, show_default=True)
 @click.option("--n-eval", type=int, default=512, show_default=True)
-@_with_common
-def train_stack_cmd(task, length, steps, lr, batch_size, n_train, n_eval, seed, **_):
+def train_stack_cmd(run, task, length, steps, lr, batch_size, n_train, n_eval, seed, **_):
     """Train the stacked classifier on a synthetic task."""
-    run = _start_run()
     tc = trainer.TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, seed=seed)
     report = stack.train_stack(task, None, tc, L=length, n_train=n_train, n_eval=n_eval)
     _write_report(run, report)
     stack.save_stack(report.final_params, run.out / "checkpoint")
-    run.finish()
     click.echo(f"eval accuracy {report.metrics.get('eval_accuracy'):.4f}")
 
 

@@ -22,7 +22,7 @@ together, is one causal convolution of the input with the kernel
 h = sum_j M[j] basis[j]: M stacks M_u, M_plus and M_minus (stack_m), and
 basis holds the matching rows (_layer_rows) of the layer basis: unit impulses
 at lags 0, 1, 2 and the scaled filters delayed by two lags.  The bank caches
-that basis per length with its spectra B_j (_basis), so spectral_forward
+one array per length, the basis spectra B_j (_basis), so spectral_forward
 takes the kernel spectrum W[f] = sum_j M[j] B_j[f], a (d_out, d_in) matrix
 per frequency bin, in one product and applies it to the input spectrum as a
 matmul batched over batch and bins; no (batch, time, K, channel) tensor is
@@ -30,19 +30,20 @@ ever built.
 spectral_backward is the one adjoint: the output recursion runs backwards (a
 reverse parity prefix sum, or a reverse scan on the companion form when M_y
 is learned), the input gradient is the correlation with the kernel (conj(W)
-per bin), and the parameter gradients come from the Parseval pairing of the
-adjoint spectrum with the input spectrum, Lam[f] conj(U[f]), taken back to
-lags and projected on each basis row.  Every contraction is a matmul.
+per bin), and the parameter gradients pair the correlation spectrum of the
+adjoint with the input, Lam[f] conj(U[f]), with each basis spectrum by
+Parseval.  Every contraction is a matmul.
 
 forward, the stack and the trainer's default step run through this pair; the
 params and the bank alone decide the filter family and whether M_y is
 learned.  Every materialized feature comes from one time-last FFT
 convolution, _convolve: featurize convolves the input with the bank's
-filters, and layer_streams with the cached basis (its parity prefix sums
-with cumulative) in the kernel's parameter layout, so one contraction with
-stack_m gives the increments, or with cumulative the outputs, and one
+filters, and layer_streams with the cached basis in the kernel's parameter
+layout, so one contraction with stack_m gives the increments, and one
 contraction with the increment adjoint gives the stacked gradient that
-split_m names.
+split_m names.  The parity prefix sum of the fixed coupling is applied to
+signals only: it commutes with causal convolution, so the streams of a
+parity-summed input give the outputs y_t = y_{t-2} + g_t.
 """
 
 from __future__ import annotations
@@ -140,14 +141,14 @@ def _fft_length(L: int) -> int:
 _CHUNK_BYTES = 4 << 20
 
 
-def _basis(bank: FilterBank, T: int):
-    """The layer basis for T steps and its spectra, cached on the bank per T.
+def _basis(bank: FilterBank, T: int) -> np.ndarray:
+    """The rfft at _fft_length(T) of the layer basis for T steps, cached on
+    the bank per T.
 
     The basis is (3 + 2 bank.K, T): unit impulses at lags 0, 1 and 2, then
     the scaled filters and their alternating copies, delayed two lags; each
     filter is delayed before it is truncated to T, so no tap wraps around at
-    _fft_length(T).  Returned with the rfft of the basis and of its parity
-    prefix sums at that length; _layer_rows picks a layer's rows.
+    _fft_length(T).  _layer_rows picks a layer's rows.
     """
     if T not in bank.spectra:
         filters = bank.scaled_phi[:, : max(T - 2, 0)]
@@ -155,8 +156,7 @@ def _basis(bank: FilterBank, T: int):
         basis[:3] = np.eye(3, T)
         basis[3 : 3 + bank.K, 2:] = filters
         basis[3 + bank.K :, 2:] = filters * (-1.0) ** np.arange(filters.shape[1])
-        n = _fft_length(T)
-        bank.spectra[T] = basis, sfft.rfft(basis, n), sfft.rfft(parity_cumsum(basis), n)
+        bank.spectra[T] = sfft.rfft(basis, _fft_length(T))
     return bank.spectra[T]
 
 
@@ -186,14 +186,13 @@ def _convolve(spectra: np.ndarray, inputs: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def layer_streams(bank: FilterBank, K: int, inputs: np.ndarray, cumulative=False) -> np.ndarray:
+def layer_streams(bank: FilterBank, K: int, inputs: np.ndarray) -> np.ndarray:
     """The input convolved with each layer basis row for K filters, (J, d_in,
-    batch, T); contracted with stack_m they give the increments g_t.  With
-    cumulative they are parity prefix sums over time, and the same
-    contraction gives the outputs y_t = y_{t-2} + g_t."""
+    batch, T); contracted with stack_m they give the increments g_t.  The
+    streams of parity_cumsum(inputs) are the parity prefix sums of the
+    streams, and the same contraction gives the outputs y_t = y_{t-2} + g_t."""
     inputs = _check_inputs(inputs, bank)
-    spectra = _basis(bank, inputs.shape[1])[1 + bool(cumulative)]
-    return _convolve(spectra[_layer_rows(bank, K)], inputs)
+    return _convolve(_basis(bank, inputs.shape[1])[_layer_rows(bank, K)], inputs)
 
 
 def featurize(bank: FilterBank, inputs: np.ndarray) -> SpectralFeatures:
@@ -227,6 +226,7 @@ def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def parity_cumsum(g: np.ndarray) -> np.ndarray:
+    """g_t + g_{t-2} + g_{t-4} + ... along axis 1: the fixed y_{t-2} coupling."""
     out = g.copy()
     out[:, 0::2] = np.cumsum(out[:, 0::2], axis=1)
     out[:, 1::2] = np.cumsum(out[:, 1::2], axis=1)
@@ -336,14 +336,13 @@ def spectral_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray):
     x = _check_layer(params, bank, inputs)
     T = x.shape[1]
     n = _fft_length(T)
-    basis, spectra, _ = _basis(bank, T)
-    rows = _layer_rows(bank, params.K)
+    spectra = _basis(bank, T)[_layer_rows(bank, params.K)]
     M = stack_m(params)
-    W = (spectra[rows].T @ M.reshape(len(M), -1)).reshape(-1, params.d_out, params.d_in)
+    W = (spectra.T @ M.reshape(len(M), -1)).reshape(-1, params.d_out, params.d_in)
     xf = sfft.rfft(x, n, axis=1)  # (B, bins, d_in)
     g = sfft.irfft((xf[:, :, None] @ W.transpose(0, 2, 1))[:, :, 0], n, axis=1)[:, :T]
     y = recurse_outputs(params, g)
-    return y, {"y": y, "basis": basis[rows], "W": W, "xf": xf, "n": n}
+    return y, {"y": y, "spectra": spectra, "W": W, "xf": xf, "n": n}
 
 
 def spectral_backward(params: StuParams, cache: dict, dy: np.ndarray):
@@ -351,18 +350,24 @@ def spectral_backward(params: StuParams, cache: dict, dy: np.ndarray):
     gradient, given dL/dy.
 
     With lam = dL/dg from the reversed output recursion, the input gradient
-    is the correlation of lam with the kernel (conj(W) per bin), and the
-    kernel gradient dL/dh[tau] = sum_t lam_t u_{t-tau}^T is the correlation
-    of lam with the input (Lam conj(U) per bin), projected on each basis row.
+    is the correlation of lam with the kernel (conj(W) per bin).  The kernel
+    gradient dL/dh[tau] = sum_t lam_t u_{t-tau}^T is the correlation of lam
+    with the input, whose spectrum is C[f] = sum_b Lam[b, f] conj(U[b, f]);
+    its projection on basis row j is, by Parseval,
+    dM_j = (1/n) sum_f w_f Re(conj(B_j[f]) C[f]), with w_f 1 at DC and
+    Nyquist and 2 elsewhere.  That is exact: row j is zero past lag T - 1 and
+    n >= 2T - 1, so no anticausal lag of the correlation lands in [0, T).
     """
     y, n = cache["y"], cache["n"]
     T = y.shape[1]
     lam = output_adjoint(params, dy)
     lf = sfft.rfft(lam, n, axis=1)  # (B, bins, d_out)
     dx = sfft.irfft((lf[:, :, None] @ cache["W"].conj())[:, :, 0], n, axis=1)[:, :T]
-    dh = sfft.irfft(lf.transpose(1, 2, 0) @ cache["xf"].conj().transpose(1, 0, 2), n, axis=0)[:T]
-    dM = (cache["basis"] @ dh.reshape(T, -1)).reshape(-1, params.d_out, params.d_in)
-    return dx, layer_grads(params, dM, lam, y)
+    C = lf.transpose(1, 2, 0) @ cache["xf"].conj().transpose(1, 0, 2)  # (bins, d_out, d_in)
+    w = np.full(len(C), 2.0 / n)
+    w[[0, -1]] = 1.0 / n
+    dM = ((cache["spectra"].conj() * w) @ C.reshape(len(C), -1)).real
+    return dx, layer_grads(params, dM.reshape(-1, params.d_out, params.d_in), lam, y)
 
 
 def forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:

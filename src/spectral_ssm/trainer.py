@@ -23,6 +23,7 @@ from .stu import (
     layer_grads,
     layer_streams,
     output_adjoint,
+    parity_cumsum,
     recurse_outputs,
     spectral_backward,
     spectral_forward,
@@ -192,12 +193,12 @@ def fit_stu_least_squares(dataset, bank: FilterBank, K: int) -> StuParams:
     """Globally optimal convex-layer parameters under MSE (dense normal
     equations G = F F^T, b = F Y; ridge fallback of 1e-8 when the
     factorization fails).  The outputs are linear in the features F, the
-    cumulative stu.layer_streams: a row per (basis row, input channel), a
-    column per (sequence, step)."""
+    stu.layer_streams of the parity-summed inputs: a row per (basis row,
+    input channel), a column per (sequence, step)."""
     inputs, targets = _check_dataset(dataset)
     n, T, d_in = inputs.shape
     d_out = targets.shape[2]
-    F = layer_streams(bank, K, inputs, cumulative=True).reshape(-1, n * T)
+    F = layer_streams(bank, K, parity_cumsum(inputs)).reshape(-1, n * T)
     if F.shape[0] > _MAX_LS_FEATURES:
         raise ValueError(f"feature dimension {F.shape[0]} exceeds {_MAX_LS_FEATURES}")
     Y = targets.reshape(n * T, d_out)
@@ -224,7 +225,8 @@ def k_sweep(
     method: str = "ls",
     noise_std: float = 0.0,
 ) -> list[tuple[int, float]]:
-    """Final reconstruction error of the convex layer for each K (ascending).
+    """Final reconstruction error of the convex layer for each K (ascending):
+    the fitted parameters' MSE over the whole dataset, for either method.
 
     The dataset is n_sequences Gaussian input sequences of length bank.L, with
     targets from the exact system rollout; "ls" solves each K exactly, "sgd"
@@ -247,11 +249,9 @@ def k_sweep(
     for K in K_values:
         if method == "ls":
             params = fit_stu_least_squares((inputs, targets), bank, K)
-            err = stu_mse(params, bank, inputs, targets)
         else:
-            report = fit_stu((inputs, targets), bank, K, 0, config)
-            err = float(report.loss_curve[-1])
-        rows.append((K, err))
+            params = fit_stu((inputs, targets), bank, K, 0, config).final_params
+        rows.append((K, stu_mse(params, bank, inputs, targets)))
     return rows
 
 

@@ -92,8 +92,9 @@ def reference_streams(bank, K, inputs):
 
 
 def reference_cumulative_features(bank, K, inputs):
-    """The least-squares features as parity prefix sums over time of the
-    streams, the way the trainer built them from feature_streams."""
+    """The least-squares features by direct summation: the parity prefix
+    sums over time of reference_streams.  Causal convolution commutes with
+    the prefix sum, so they equal the streams of the parity-summed input."""
     return parity_cumsum(reference_streams(bank, K, inputs))
 
 

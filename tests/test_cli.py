@@ -50,6 +50,16 @@ class TestExitCodes:
         # K > L is a domain error inside the library, not a usage error.
         assert run_cli("gen-filters", "--L", "4", "--K", "8", "--out", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("args, code", [
+        (("gen-filters", "--L", "4", "--K", "8"), 1),
+        (("fit-stu", "--length", "16", "--K", "20"), 1),
+        (("verify-ar", "--systems", "2", "--length", "20", "--rtol", "1e-300"), 2),
+    ], ids=["gen-filters-error", "fit-stu-error", "verify-ar-check-failed"])
+    def test_failed_run_writes_run_json(self, tmp_path, args, code):
+        assert run_cli(*args, "--out", str(tmp_path)) == code
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert run["command"] == args[0] and run["exit_code"] == code
+
     def test_unknown_fixture_is_64(self, tmp_path):
         assert run_cli("simulate-lds", "--fixture", "nope", "--out", str(tmp_path)) == 64
 

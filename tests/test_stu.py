@@ -257,10 +257,11 @@ def stream_cases(draw):
 
 
 class TestLayerStreams:
-    # fit_stu's streams and the least-squares features against direct
-    # summation.  Several (K, T) calls share one bank and its spectrum cache;
-    # T = 1 and 2 leave the spectral streams empty, T = 3 gives them one lag,
-    # and T = L reaches the last filter lag.
+    # fit_stu's streams and the least-squares features (the streams of the
+    # parity-summed input) against direct summation.  Several (K, T) calls
+    # share one bank and its spectrum cache; T = 1 and 2 leave the spectral
+    # streams empty, T = 3 gives them one lag, and T = L reaches the last
+    # filter lag.
     @given(case=stream_cases())
     @example(case=(PRIMARY, 8, 4, [(3, 1), (4, 2), (1, 3), (2, 8)], 3, 2, 0))
     @example(case=(ALT, 8, 4, [(3, 1), (4, 2), (1, 3), (2, 8)], 1, 1, 1))
@@ -274,7 +275,7 @@ class TestLayerStreams:
             x = u[:, :T]
             streams = stu.layer_streams(bank, K, x).transpose(2, 3, 0, 1)
             assert rel_error(streams, reference_streams(bank, K, x)) <= 1e-12
-            features = stu.layer_streams(bank, K, x, cumulative=True).transpose(2, 3, 0, 1)
+            features = stu.layer_streams(bank, K, stu.parity_cumsum(x)).transpose(2, 3, 0, 1)
             assert rel_error(features, reference_cumulative_features(bank, K, x)) <= 1e-12
 
 
@@ -308,6 +309,12 @@ class TestSpectralKernel:
         # The adjoint of the linear functional <w, y> against central differences.
         w = rng.standard_normal(y.shape)
         dx, grads = stu.spectral_backward(params, cache, w)
+        # The M gradients against the increment adjoint contracted with the
+        # direct-summation streams: <w, y> = sum_t <lam_t, g_t>.
+        lam = stu.output_adjoint(params, w)
+        ref = np.einsum("bto,btjc->joc", lam, reference_streams(bank, K, u))
+        dM = np.concatenate([grads["M_u"], grads["M_phi_plus"], grads["M_phi_minus"]])
+        assert rel_error(dM, ref) <= 1e-10
         worst = fd_gradcheck(
             lambda: float(np.sum(w * stu.forward(params, bank, u))),
             [(name, arr) for name, arr in params.named_arrays() if arr.size] + [("inputs", u)],

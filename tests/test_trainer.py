@@ -21,7 +21,7 @@ from spectral_ssm import (
     marginal_fixture,
 )
 from spectral_ssm.lds import random_inputs, simulate_lds
-from spectral_ssm.stu import forward
+from spectral_ssm.stu import forward, layer_streams, parity_cumsum, stack_m
 from spectral_ssm.trainer import LruParams, lru_loss_and_grads, stu_loss_and_grads, stu_mse
 
 from conftest import fd_gradcheck, loop_lru_loss_and_grads, rel_error
@@ -150,12 +150,14 @@ class TestLeastSquares:
         assert stu_mse(params, bank64, inputs, targets) <= 1e-10
 
     def test_matches_forward_parameterization(self, bank64):
-        # The fitted parameters reproduce the cumulative-feature linear model.
+        # The fitted parameters reproduce the linear model least squares
+        # solves: the streams of the parity-summed inputs, contracted with
+        # the stacked matrices, are the layer outputs.
         inputs, targets, _ = make_realizable(bank64, 5, n=4, T=48, seed=9)
         params = fit_stu_least_squares((inputs, targets), bank64, 5)
-        np.testing.assert_allclose(
-            forward(params, bank64, inputs).shape, targets.shape
-        )
+        F = layer_streams(bank64, 5, parity_cumsum(inputs))
+        y = np.einsum("jcbt,joc->bto", F, stack_m(params))
+        assert rel_error(forward(params, bank64, inputs), y) <= 1e-10
 
     def test_lds_dataset_residual_below_bound(self, bank256):
         from spectral_ssm.theory import BOUND_CONSTANT, TheoremBoundInputs, theorem_bound
@@ -207,8 +209,16 @@ class TestKSweep:
 
     def test_sgd_method(self, bank64):
         cfg = TrainConfig(learning_rate=5e-3, steps=60, batch_size=2, seed=0)
-        rows = k_sweep(marginal_fixture(), [2, 4], bank64, cfg, n_sequences=2, method="sgd")
+        system = marginal_fixture()
+        rows = k_sweep(system, [2, 4], bank64, cfg, n_sequences=2, method="sgd")
         assert len(rows) == 2 and all(np.isfinite(e) for _, e in rows)
+        # Each error is the trained parameters' MSE over the whole dataset, as
+        # for "ls", not the loss of the last minibatch before the last update.
+        inputs = random_inputs(2, bank64.L, system.d_in, cfg.seed)
+        targets = simulate_lds(system, inputs)
+        for K, err in rows:
+            params = fit_stu((inputs, targets), bank64, K, 0, cfg).final_params
+            assert err == stu_mse(params, bank64, inputs, targets)
 
     def test_noise_floor(self, bank64):
         rows_clean = k_sweep(marginal_fixture(), [12], bank64, TrainConfig(seed=0), n_sequences=2)

@@ -8,11 +8,11 @@ is typed and checked exactly like the flag of the same name.
 
 Exit codes: 0 success, 1 runtime error, 2 scientific check failed, 64 usage
 error (bad flag, unknown config key, invalid value).  Every run that starts
-writes run.json (config echo, seed, versions, exit code, wall time) into the
-output directory, whether it succeeds or fails (RunCommand); a usage error
-writes nothing;
-timing lives only there so the scientific artifacts are byte-identical across
-reruns of the same config and seed.  BLAS thread pools are sized by the
+writes run.json (config echo, seed, versions, BLAS thread variables, exit
+code, wall time) into the output directory, whether it succeeds or fails
+(RunCommand); a usage error writes nothing; timing lives only there so the
+scientific artifacts are byte-identical across reruns of the same config and
+seed.  BLAS thread pools are sized by the
 environment (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...), which numpy reads
 when it loads, before any command runs.
 """
@@ -28,6 +28,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+import scipy
 
 from . import __version__, container, lds, stack, theory, trainer
 from . import filterbank as fb
@@ -72,6 +73,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class RunContext:
     """Collects run metadata and writes run.json on completion."""
 
@@ -91,7 +95,10 @@ class RunContext:
                 "spectral_ssm": __version__,
                 "numpy": np.__version__,
                 "python": sys.version.split()[0],
+                "scipy": scipy.__version__,
             },
+            # The thread count can move the last bits of BLAS results.
+            "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
             "exit_code": exit_code,
             "wall_time_s": time.perf_counter() - self.t0,
             "started_at": self.started_at,
@@ -217,19 +224,15 @@ def verify_theorem(run, systems, L, K, d_max, variant, seed, **_):
     """Constructive approximation check over random symmetric systems."""
     bank = fb.compute_filterbank(L, max(K), fb.HankelVariant(variant))
     rows = []
-    satisfied = 0
-    total = 0
     rng = np.random.default_rng(seed)
     for i in range(systems):
         d_h = int(rng.integers(1, d_max + 1))
         system = lds.random_symmetric_system(d_h, 3, 3, radius=float(rng.uniform(0.5, 1.0)),
                                              seed=seed + 1000 + i, dense=bool(i % 2))
         u = lds.bounded_inputs(1, bank.L, 3, seed=seed + 5000 + i)
-        for K_i in K:
-            rep = theory.approximation_report(system, theory.stu_from_lds(system, bank, K_i), bank, u)
-            rows.append((i, K_i, rep.max_err, rep.bound))
-            total += 1
-            satisfied += int(rep.satisfied)
+        rows += [(i, *row) for row in theory.constructive_k_sweep(system, bank, u, K)]
+    total = len(rows)
+    satisfied = sum(err <= bound for _, _, err, bound in rows)
     report = {
         "systems": systems, "K": K, "L": L, "variant": variant, "checks": total,
         "satisfied": satisfied, "violations": total - satisfied,
@@ -293,9 +296,10 @@ def fit_stu_cmd(run, fixture, K, k_y, length, sequences, steps, lr, seed, **_):
     y = lds.simulate_lds(system, u)
     tc = trainer.TrainConfig(learning_rate=lr, steps=steps, batch_size=1, seed=seed)
     report = trainer.fit_stu((u, y), bank, K, k_y, tc)
-    _write_report(run, report, extra={"initial_mse": float((y**2).mean())})
+    final_loss = trainer.stu_mse(report.final_params, bank, u, y)
+    _write_report(run, report, final_loss, extra={"initial_mse": float((y**2).mean())})
     save_stu_params(report.final_params, run.out / "params")
-    click.echo(f"final loss {report.loss_curve[-1]:.6e}")
+    click.echo(f"final loss {final_loss:.6e}")
 
 
 @cli.command("fit-lru")
@@ -325,11 +329,12 @@ def fit_lru_cmd(run, fixture, d_hidden, length, sequences, steps, lr, stable_exp
         report = trainer.fit_lru((u, y), d_hidden, tc, options)
     except trainer.TrainingDiverged as exc:
         report = exc.report
-    _write_report(run, report, extra={"initial_mse": float((y**2).mean())})
+    # A diverged run keeps its non-finite loss.
+    final_loss = None if report.diverged else trainer.lru_mse(report.final_params, u, y)
+    _write_report(run, report, final_loss, extra={"initial_mse": float((y**2).mean())})
     container.save_arrays(run.out / "params", {"kind": "train_params"},
                           dict(report.final_params.named_arrays()))
-    status = "diverged" if report.diverged else f"final loss {report.loss_curve[-1]:.6e}"
-    click.echo(status)
+    click.echo("diverged" if report.diverged else f"final loss {final_loss:.6e}")
 
 
 @cli.command("sweep-k")
@@ -368,12 +373,15 @@ def train_stack_cmd(run, task, length, steps, lr, batch_size, n_train, n_eval, s
     click.echo(f"eval accuracy {report.metrics.get('eval_accuracy'):.4f}")
 
 
-def _write_report(run: RunContext, report, extra: dict | None = None) -> None:
+def _write_report(run: RunContext, report, final_loss: float | None = None,
+                  extra: dict | None = None) -> None:
+    """report.json and loss.csv.  final_loss defaults to the last step's loss;
+    fit-stu and fit-lru pass the dataset MSE of the params they save."""
     doc = {
         "config": report.config.to_dict(),
         "diverged": report.diverged,
         "divergence_step": report.divergence_step,
-        "final_loss": float(report.loss_curve[-1]),
+        "final_loss": float(report.loss_curve[-1] if final_loss is None else final_loss),
         "metrics": {k: v for k, v in report.metrics.items() if _json_safe(v)},
     }
     if extra:

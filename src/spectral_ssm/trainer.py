@@ -370,6 +370,13 @@ def lru_forward(params: LruParams, inputs: np.ndarray) -> np.ndarray:
     return out
 
 
+def lru_mse(params: LruParams, inputs, targets) -> float:
+    """The loss of lru_loss_and_grads, without the adjoint."""
+    out, _ = _lru_scan(params, np.asarray(inputs, dtype=np.float64))
+    diff = out - np.asarray(targets, dtype=np.float64)
+    return float(np.sum(diff * diff) / diff.size)
+
+
 def lru_loss_and_grads(params: LruParams, inputs, targets):
     """MSE loss with analytic gradients through the complex recurrence,
     including the gamma normalization coupling when enabled."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.special import roots_legendre
 
 from spectral_ssm import HankelVariant, compute_filterbank, naive_featurize
 from spectral_ssm.stu import feature_streams, parity_cumsum
@@ -31,6 +32,27 @@ def alt_bank64():
 @pytest.fixture(scope="session")
 def alt_bank256():
     return compute_filterbank(256, 24, HankelVariant.ALTERNATIVE)
+
+
+def exact_quadrature_bank(L, variant):
+    """(sigma, phi) of every filter from an exact square root of Z.
+
+    Z = int mu(alpha) mu(alpha)^T dalpha over [0, 1] (primary) or [-1, 1]
+    (alternative), and each entry's integrand is a polynomial of degree 2L
+    or 2L + 2, so Gauss-Legendre with L + 1 or L + 2 nodes integrates it
+    exactly: Z = V V^T with V[i, q] = mu_i(alpha_q) sqrt(w_q).  The filters
+    are the left singular vectors of V, sigma the squared singular values.
+    """
+    if variant is HankelVariant.PRIMARY:
+        x, w = roots_legendre(L + 1)
+        alpha, w = (x + 1) / 2, w / 2
+        lead = alpha - 1
+    else:
+        alpha, w = roots_legendre(L + 2)
+        lead = alpha**2 - 1
+    V = alpha ** np.arange(L)[:, None] * (lead * np.sqrt(w))
+    U, s, _ = np.linalg.svd(V, full_matrices=False)
+    return s**2, U.T
 
 
 def fd_gradcheck(loss_fn, named_arrays, grads, h=1e-6):

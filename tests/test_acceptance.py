@@ -266,15 +266,14 @@ def test_criterion_7_gradient_fidelity():
 def featurize_timings(L_values, K: int, d_in: int, repeats: int = 5, seed: int = 0) -> dict:
     """Median featurize wall time per length and consecutive doubling ratios.
 
-    Banks are built with the matrix-free Lanczos path so setup stays cheap at
-    large L; the timing covers only the convolution.  Repeats are interleaved
-    across lengths so transient system load hits every length alike and the
-    ratios stay a paired comparison.
+    The timing covers only the convolution, not the bank build.  Repeats are
+    interleaved across lengths so transient system load hits every length
+    alike and the ratios stay a paired comparison.
     """
     rng = np.random.default_rng(seed)
     cases = []
     for L in L_values:
-        bank = compute_filterbank(L, K, method="lanczos")
+        bank = compute_filterbank(L, K)
         u = rng.standard_normal((1, L, d_in))
         featurize(bank, u)  # warm the FFT plan and allocator
         cases.append((bank, u, []))

@@ -181,6 +181,27 @@ class TestFitCommands:
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["command"] == "fit-stu"
         assert "wall_time_s" in run
+        assert "scipy" in run["versions"]
+        assert set(run["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+
+    def test_final_loss_is_the_dataset_mse_of_the_saved_params(self, tmp_path):
+        from spectral_ssm import compute_filterbank, container, load_stu_params, lds
+        from spectral_ssm.trainer import LruParams, lru_forward, stu_mse
+
+        system = lds.marginal_fixture()
+        u = lds.random_inputs(2, 32, system.d_in, 1)
+        y = lds.simulate_lds(system, u)
+        assert run_cli("fit-stu", "--length", "32", "--K", "4", "--sequences", "2",
+                       "--steps", "5", "--out", str(tmp_path / "stu")) == 0
+        report = json.loads((tmp_path / "stu" / "report.json").read_text())
+        params = load_stu_params(tmp_path / "stu" / "params")
+        assert report["final_loss"] == stu_mse(params, compute_filterbank(32, 4), u, y)
+        assert run_cli("fit-lru", "--length", "32", "--sequences", "2", "--steps", "5",
+                       "--d-hidden", "4", "--out", str(tmp_path / "lru")) == 0
+        report = json.loads((tmp_path / "lru" / "report.json").read_text())
+        _, arrays = container.load_arrays(tmp_path / "lru" / "params")
+        diff = lru_forward(LruParams(**arrays), u) - y
+        assert report["final_loss"] == float(np.mean(diff * diff))
 
     def test_fit_stu_params_load(self, tmp_path):
         from spectral_ssm import compute_filterbank, fit_stu, load_stu_params, lds

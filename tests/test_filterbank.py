@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.linalg import eigvalsh
+from scipy.linalg import eigh
 
+import spectral_ssm
 from spectral_ssm import (
     HankelVariant,
     compute_filterbank,
@@ -17,9 +23,8 @@ from spectral_ssm import (
     projection_residual,
     save_filterbank,
 )
-from spectral_ssm.filterbank import _lanczos_topk
 
-from conftest import VARIANTS
+from conftest import VARIANTS, exact_quadrature_bank
 
 PRIMARY, ALT = HankelVariant.PRIMARY, HankelVariant.ALTERNATIVE
 
@@ -142,56 +147,80 @@ class TestComputeFilterbank:
             bank64.scaled_phi, bank64.sigma[:, None] ** 0.25 * bank64.phi, rtol=1e-15
         )
 
-    def test_lanczos_agrees_with_dense(self):
-        dense = compute_filterbank(512, 8, PRIMARY, method="dense")
-        lcz = compute_filterbank(512, 8, PRIMARY, method="lanczos")
-        np.testing.assert_allclose(lcz.sigma, dense.sigma, rtol=1e-9)
-        np.testing.assert_allclose(lcz.phi, dense.phi, atol=1e-7)
-
     @given(
         variant=st.sampled_from(VARIANTS),
         shape=st.integers(1, 512).flatmap(lambda L: st.tuples(st.just(L), st.integers(1, L))),
     )
-    @example(variant=PRIMARY, shape=(64, 16))
-    @example(variant=ALT, shape=(64, 16))
-    @example(variant=PRIMARY, shape=(256, 256))
-    @example(variant=ALT, shape=(256, 255))
     @example(variant=PRIMARY, shape=(1, 1))
     @example(variant=ALT, shape=(2, 2))
-    @example(variant=PRIMARY, shape=(2, 1))
     @example(variant=PRIMARY, shape=(3, 3))
-    @example(variant=ALT, shape=(3, 2))
+    @example(variant=PRIMARY, shape=(256, 256))
+    @example(variant=ALT, shape=(256, 255))
+    @example(variant=ALT, shape=(469, 60))  # 16 nodes a panel miss filter 53 here by 2e-6
     @settings(max_examples=25)
-    def test_lanczos_matches_dense_past_the_numerical_rank(self, variant, shape):
-        # K may exceed the numerical rank, where Lanczos breaks down and must
-        # restart.  Lanczos accepts Ritz pairs with residuals below tol, so each
-        # eigenvalue is within tol of dense and each eigenvector within
-        # sqrt(2) tol / gap, the gap being to the rest of the spectrum.
+    def test_matches_exact_quadrature_factor(self, variant, shape):
+        # The graded rule against the exact Gauss-Legendre factor, past the
+        # numerical rank of an eigensolve down to sigma_k = 1e-20 sigma_1.
         L, K = shape
-        dense = compute_filterbank(L, K, variant, method="dense")
-        lcz = compute_filterbank(L, K, variant, method="lanczos")  # validate() runs inside
-        tol = 1e-10 * max(1.0, dense.sigma[0])
-        np.testing.assert_allclose(lcz.sigma, dense.sigma, rtol=0, atol=tol)
-        spectrum = np.append(eigvalsh(hankel_matrix(L, variant)), np.inf)  # L = 1 has no gap
-        gaps = np.array([np.partition(np.abs(spectrum - s), 1)[1] for s in dense.sigma])
-        err = np.abs(lcz.phi - dense.phi).max(axis=1)
-        assert np.all(err <= 2 * tol / gaps), np.max(err * gaps / tol)
+        bank = compute_filterbank(L, K, variant)
+        sigma, phi = exact_quadrature_bank(L, variant)
+        k = min(K, int(np.sum(sigma >= 1e-20 * sigma[0])))
+        sign = np.sign(np.sum(phi[:k] * bank.phi[:k], axis=1))
+        np.testing.assert_allclose(bank.sigma[:k], sigma[:k], rtol=1e-6, atol=0)
+        np.testing.assert_allclose(bank.phi[:k], sign[:, None] * phi[:k], rtol=0, atol=1e-6)
 
-    def test_auto_lanczos_past_the_numerical_rank(self):
-        # Above DENSE_EIGH_MAX, K = 32 exceeds the numerical rank at L = 8192;
-        # validate() runs inside.
+    @pytest.mark.parametrize(
+        "L, K", [(2, 2), (25, 10), (64, 64), (77, 53), (210, 185), (256, 24), (413, 163), (460, 358)]
+    )
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_dense_eigh_within_the_numerical_rank(self, variant, L, K):
+        # Within the numerical rank (sigma_k > L eps sigma_1) a dense
+        # eigensolve is good to about eps sigma_1 per eigenvalue and
+        # eps sigma_1 / gap per filter, the gap being to the rest of the
+        # spectrum.  Over 64 random shapes the worst constants were 5.8
+        # (filters) and 9.2 (eigenvalues).
+        bank = compute_filterbank(L, K, variant)
+        sigma, vecs = eigh(hankel_matrix(L, variant))
+        sigma, vecs = sigma[::-1], vecs[:, ::-1].T
+        floor = np.finfo(np.float64).eps * sigma[0]
+        r = min(K, int(np.sum(sigma > L * floor)))
+        gaps = np.array([np.abs(np.delete(sigma, k) - sigma[k]).min() for k in range(r)])
+        sign = np.sign(np.sum(vecs[:r] * bank.phi[:r], axis=1))
+        err = np.abs(bank.phi[:r] - sign[:, None] * vecs[:r]).max(axis=1)
+        assert np.all(np.abs(bank.sigma[:r] - sigma[:r]) <= 16 * floor)
+        assert np.all(err * gaps <= 16 * floor), np.max(err * gaps / floor)
+
+    def test_blas_thread_count_leaves_banks_bitwise_equal(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from spectral_ssm import compute_filterbank\n"
+            "shapes = [(256, 24, 'primary'), (256, 40, 'alternative'), (1024, 24, 'primary'),"
+            " (64, 64, 'primary')]\n"
+            "banks = [compute_filterbank(*shape) for shape in shapes]\n"
+            "np.savez(sys.argv[1], *[a for b in banks for a in (b.sigma, b.phi)])\n"
+        )
+        path = os.pathsep.join([str(Path(spectral_ssm.__file__).parents[1]),
+                                os.environ.get("PYTHONPATH", "")])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / f"banks-{threads}.npz"
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+            runs.append(np.load(out))
+        for name in runs[0].files:
+            np.testing.assert_array_equal(runs[0][name], runs[1][name])
+
+    def test_long_bank_past_the_numerical_rank(self):
+        # K = 32 exceeds the numerical rank at L = 8192; validate() runs inside.
         full = compute_filterbank(8192, 32)
         head = compute_filterbank(8192, 16)
         np.testing.assert_allclose(full.sigma[:16], head.sigma, rtol=0, atol=2e-10)
 
-    def test_lanczos_nonconvergence_reports_iterations(self):
-        with pytest.raises(RuntimeError, match=r"\d+ iterations"):
-            _lanczos_topk(256, PRIMARY, 24, max_iter=25)
-
-    def test_auto_dispatches_to_lanczos_beyond_dense_cutoff(self):
-        # L above the dense threshold: construction must stay matrix-free and
-        # still satisfy every bank invariant (validate runs inside).
-        bank = compute_filterbank(4100, 4, PRIMARY, method="auto")
+    def test_long_length_bank(self):
+        # No L x L matrix at L = 4100; validate() checks every bank invariant.
+        bank = compute_filterbank(4100, 4, PRIMARY)
         assert bank.sigma[0] == pytest.approx(0.3604, abs=1e-3)
 
     def test_domain_errors(self):

@@ -19,6 +19,7 @@ when it loads, before any command runs.
 
 from __future__ import annotations
 
+import importlib.metadata
 import json
 import os
 import sys
@@ -76,6 +77,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 _THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _blas_library() -> str:
+    """Name and version of the BLAS that numpy was built against and loads."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+
+
 class RunContext:
     """Collects run metadata and writes run.json on completion."""
 
@@ -96,6 +103,8 @@ class RunContext:
                 "numpy": np.__version__,
                 "python": sys.version.split()[0],
                 "scipy": scipy.__version__,
+                "click": importlib.metadata.version("click"),
+                "blas": _blas_library(),
             },
             # The thread count can move the last bits of BLAS results.
             "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
@@ -368,7 +377,7 @@ def train_stack_cmd(run, task, length, steps, lr, batch_size, n_train, n_eval, s
     """Train the stacked classifier on a synthetic task."""
     tc = trainer.TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, seed=seed)
     report = stack.train_stack(task, None, tc, L=length, n_train=n_train, n_eval=n_eval)
-    _write_report(run, report)
+    _write_report(run, report, report.metrics["train_loss"])
     stack.save_stack(report.final_params, run.out / "checkpoint")
     click.echo(f"eval accuracy {report.metrics.get('eval_accuracy'):.4f}")
 
@@ -376,7 +385,8 @@ def train_stack_cmd(run, task, length, steps, lr, batch_size, n_train, n_eval, s
 def _write_report(run: RunContext, report, final_loss: float | None = None,
                   extra: dict | None = None) -> None:
     """report.json and loss.csv.  final_loss defaults to the last step's loss;
-    fit-stu and fit-lru pass the dataset MSE of the params they save."""
+    fit-stu and fit-lru pass the dataset MSE of the params they save, and
+    train-stack their mean cross-entropy over the training set."""
     doc = {
         "config": report.config.to_dict(),
         "diverged": report.diverged,

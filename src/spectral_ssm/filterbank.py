@@ -128,7 +128,7 @@ class FilterBank:
         return self.sigma[:, None] ** 0.25 * self.phi
 
     @cached_property
-    def spectra(self) -> dict:  # layer basis rfft per sequence length, filled by stu._basis
+    def spectra(self) -> dict:  # layer basis rffts per (length, cumulative), filled by stu._basis
         return {}
 
     def head(self, K: int) -> "FilterBank":

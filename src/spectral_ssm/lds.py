@@ -63,12 +63,6 @@ class LdsParams:
             return float(np.abs(self.A).max())
         return float(np.abs(np.linalg.eigvalsh(self.A)).max())
 
-    def apply_a(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for batched state rows x of shape (..., d_h)."""
-        if self.diagonal:
-            return x * self.A
-        return x @ self.A.T
-
 
 def linear_scan(a: np.ndarray, b: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Solve x_t = a x_{t-1} + b_t along axis 1 of b (batch, time, d) from
@@ -93,21 +87,17 @@ def linear_scan(a: np.ndarray, b: np.ndarray, reverse: bool = False) -> np.ndarr
     return x
 
 
-def simulate_lds(params: LdsParams, inputs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-    """Exact rollout x_t = A x_{t-1} + B u_t, y_t = C x_t + D u_t.
+def simulate_lds(params: LdsParams, inputs: np.ndarray) -> np.ndarray:
+    """Exact rollout x_t = A x_{t-1} + B u_t, y_t = C x_t + D u_t from x_{-1} = 0.
 
-    The states come from one linear_scan, with x0 folded into the first
-    step's input as B u_0 + A x0; the result is the rollout itself, not an
-    approximation, up to the summation order of the scan.
-    inputs: (batch, time, d_in); returns (batch, time, d_out). x0 defaults to zero.
+    The states come from one linear_scan; the result is the rollout itself,
+    not an approximation, up to the summation order of the scan.
+    inputs: (batch, time, d_in); returns (batch, time, d_out).
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != params.d_in:
         raise ValueError(f"expected inputs of shape (batch, time, {params.d_in}), got {inputs.shape}")
-    Bu = inputs @ params.B.T
-    if x0 is not None:
-        Bu[:, 0] += params.apply_a(np.asarray(x0, dtype=np.float64))
-    return linear_scan(params.A, Bu) @ params.C.T + inputs @ params.D.T
+    return linear_scan(params.A, inputs @ params.B.T) @ params.C.T + inputs @ params.D.T
 
 
 def random_marginal_system(

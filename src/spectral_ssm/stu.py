@@ -21,18 +21,26 @@ The filters are fixed, so the whole increment g_t, taps and spectral term
 together, is one causal convolution of the input with the kernel
 h = sum_j M[j] basis[j]: M stacks M_u, M_plus and M_minus (stack_m), and
 basis holds the matching rows (_layer_rows) of the layer basis: unit impulses
-at lags 0, 1, 2 and the scaled filters delayed by two lags.  The bank caches
-one array per length, the basis spectra B_j (_basis), so spectral_forward
-takes the kernel spectrum W[f] = sum_j M[j] B_j[f], a (d_out, d_in) matrix
-per frequency bin, in one product and applies it to the input spectrum as a
-matmul batched over batch and bins; no (batch, time, K, channel) tensor is
-ever built.
-spectral_backward is the one adjoint: the output recursion runs backwards (a
-reverse parity prefix sum, or a reverse scan on the companion form when M_y
-is learned), the input gradient is the correlation with the kernel (conj(W)
-per bin), and the parameter gradients pair the correlation spectrum of the
-adjoint with the input, Lam[f] conj(U[f]), with each basis spectrum by
-Parseval.  Every contraction is a matmul.
+at lags 0, 1, 2 and the scaled filters delayed by two lags.  The fixed
+y_{t-2} coupling is one more fixed filter: its parity prefix sum commutes
+with causal convolution, so y itself is the convolution with the
+parity-summed basis.  The bank caches the spectra B_j of both forms per
+length (_basis), and spectral_forward takes the kernel spectrum
+W[f] = sum_j M[j] B_j[f], a (d_out, d_in) matrix per frequency bin, in one
+product and applies it to the input spectrum as one gemm per bin; no
+(batch, time, K, channel) tensor is ever built.
+With k_y = 0 that gives y directly; with M_y learned it gives g, and a scan
+on the companion form resolves y.
+spectral_backward is the one adjoint: the input gradient is the correlation
+of dL/dy (or, with M_y learned, of dL/dg from a reverse companion scan)
+with the kernel (conj(W) per bin), and the parameter gradients pair the
+correlation spectrum of that adjoint with the input, Lam[f] conj(U[f]), with
+each basis spectrum by Parseval.  Every contraction is a real matmul on
+the real views of the spectra, whose rows interleave real and imaginary
+parts (_bin_matrices): NumPy's complex products run about twice as slow at
+these shapes.  A caller that steps repeatedly passes a workspace dict that
+it keeps (_buffer): the padded transform inputs, the spectra, the per-bin
+products, y and dx then reuse their memory from call to call.
 
 forward, the stack and the trainer's default step run through this pair; the
 params and the bank alone decide the filter family and whether M_y is
@@ -41,9 +49,9 @@ convolution, _convolve: featurize convolves the input with the bank's
 filters, and layer_streams with the cached basis in the kernel's parameter
 layout, so one contraction with stack_m gives the increments, and one
 contraction with the increment adjoint gives the stacked gradient that
-split_m names.  The parity prefix sum of the fixed coupling is applied to
-signals only: it commutes with causal convolution, so the streams of a
-parity-summed input give the outputs y_t = y_{t-2} + g_t.
+split_m names.  There the parity prefix sum of the fixed coupling is
+applied to signals: the streams of a parity-summed input give the outputs
+y_t = y_{t-2} + g_t.
 """
 
 from __future__ import annotations
@@ -141,33 +149,39 @@ def _fft_length(L: int) -> int:
 _CHUNK_BYTES = 4 << 20
 
 
-def _basis(bank: FilterBank, T: int) -> np.ndarray:
+def _basis(bank: FilterBank, T: int, cumulative: bool = False) -> np.ndarray:
     """The rfft at _fft_length(T) of the layer basis for T steps, cached on
-    the bank per T.
+    the bank per (T, cumulative).
 
     The basis is (3 + 2 bank.K, T): unit impulses at lags 0, 1 and 2, then
     the scaled filters and their alternating copies, delayed two lags; each
     filter is delayed before it is truncated to T, so no tap wraps around at
-    _fft_length(T).  _layer_rows picks a layer's rows.
+    _fft_length(T).  With cumulative each row is parity-prefix-summed in
+    time (parity_cumsum): the fixed y_{t-2} coupling, which commutes with
+    causal convolution, folded into the filters.  _layer_rows picks a
+    layer's rows.
     """
-    if T not in bank.spectra:
+    key = (T, cumulative)
+    if key not in bank.spectra:
         filters = bank.scaled_phi[:, : max(T - 2, 0)]
         basis = np.zeros((3 + 2 * bank.K, T))
         basis[:3] = np.eye(3, T)
         basis[3 : 3 + bank.K, 2:] = filters
         basis[3 + bank.K :, 2:] = filters * (-1.0) ** np.arange(filters.shape[1])
-        bank.spectra[T] = sfft.rfft(basis, _fft_length(T))
-    return bank.spectra[T]
+        bank.spectra[key] = sfft.rfft(parity_cumsum(basis) if cumulative else basis, _fft_length(T))
+    return bank.spectra[key]
 
 
-def _layer_rows(bank: FilterBank, K: int) -> np.ndarray:
-    """The _basis rows of a layer with K filters, in stack_m's order."""
+def _layer_rows(bank: FilterBank, K: int):
+    """The _basis rows of a layer with K filters, in stack_m's order: a slice
+    when they are contiguous, so indexing takes a view of the cached spectra
+    rather than copying them."""
     if K > bank.K:
         raise ValueError(f"need {K} filters but bank has {bank.K}")
-    rows = np.arange(3 + K)
-    if bank.variant is HankelVariant.PRIMARY:
-        rows = np.concatenate([rows, np.arange(3 + bank.K, 3 + bank.K + K)])
-    return rows
+    families = 2 if bank.variant is HankelVariant.PRIMARY else 1
+    if families == 1 or K == bank.K:
+        return slice(0, 3 + families * K)
+    return np.concatenate([np.arange(3 + K), np.arange(3 + bank.K, 3 + bank.K + K)])
 
 
 def _convolve(spectra: np.ndarray, inputs: np.ndarray, out=None) -> np.ndarray:
@@ -322,52 +336,142 @@ def feature_streams(inputs: np.ndarray, su_plus, su_minus) -> np.ndarray:
     return streams
 
 
-def spectral_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray):
+def _buffer(ws: dict | None, name: str, shape, dtype=np.float64) -> np.ndarray:
+    """ws[name] when it has this shape and dtype, else a new array kept there.
+
+    A caller that keeps ws across calls reuses the same memory every step
+    instead of handing it back to the allocator and faulting it in again;
+    without ws every array is fresh, so results that escape own their memory.
+    The contents are undefined: callers write every element they read.
+    """
+    buf = None if ws is None else ws.get(name)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = np.empty(shape, dtype)
+        if ws is not None:
+            ws[name] = buf
+    return buf
+
+
+def _rfft(x: np.ndarray, n: int, ws, name: str) -> np.ndarray:
+    """rfft at n along time of x (batch, T, channels), zero-padded in buffer
+    name + "_pad".  With ws the transform's output is copied into buffer name
+    and released at once, so no transient outlives the call; without it the
+    output is returned as it is."""
+    B, T, C = x.shape
+    pad = _buffer(ws, name + "_pad", (B, n, C))
+    pad[:, :T] = x
+    pad[:, T:] = 0.0
+    spectrum = sfft.rfft(pad, axis=1)
+    if ws is None:
+        return spectrum
+    out = _buffer(ws, name, spectrum.shape, spectrum.dtype)
+    out[...] = spectrum
+    return out
+
+
+def _bin_matrices(spectra: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The kernel spectrum W[f] = sum_j M[j] B_j[f] as one real
+    (2 d_in, 2 d_out) matrix per bin on interleaved (re, im) pairs: with u
+    the real view of a (batch, d_in) spectrum row, u @ W2[f] is the real view
+    of U W[f]^T, and l @ W2[f]^T that of L conj(W[f])."""
+    J, d_out, d_in = M.shape
+    bins = spectra.shape[1]
+    # Rows 2f and 2f + 1 of the real view's product are Re W[f] and Im W[f].
+    Wri = (spectra.view(np.float64).T @ M.reshape(J, -1)).reshape(bins, 2, d_out, d_in)
+    Wr, Wi = Wri[:, 0].transpose(0, 2, 1), Wri[:, 1].transpose(0, 2, 1)
+    W2 = np.empty((bins, d_in, 2, d_out, 2))
+    W2[:, :, 0, :, 0] = Wr
+    W2[:, :, 0, :, 1] = Wi
+    W2[:, :, 1, :, 0] = -Wi
+    W2[:, :, 1, :, 1] = Wr
+    return W2.reshape(bins, 2 * d_in, 2 * d_out)
+
+
+def _apply_bins(xf: np.ndarray, W2: np.ndarray, n: int, T: int, ws, name: str) -> np.ndarray:
+    """The first T steps of the irfft of the spectrum whose real view is
+    xf's real view times W2[f] per bin, (batch, T, W2.shape[2] // 2): one
+    real (batch x 2C)(2C x 2d) gemm per bin, written through a transposed
+    view of a (batch, bins, d) spectrum so the inverse transform runs along
+    axis 1 of a contiguous array.  With ws the result is copied into buffer
+    name, as _rfft does; without it, it is a view of the transform's
+    output."""
+    B, bins, _ = xf.shape
+    prod = _buffer(ws, name + "_f", (B, bins, W2.shape[2] // 2), np.complex128)
+    np.matmul(xf.view(np.float64).transpose(1, 0, 2), W2,
+              out=prod.view(np.float64).transpose(1, 0, 2))
+    conv = sfft.irfft(prod, n, axis=1)[:, :T]
+    if ws is None:
+        return conv
+    out = _buffer(ws, name, conv.shape)
+    out[...] = conv
+    return out
+
+
+def spectral_forward(params: StuParams, bank: FilterBank, inputs: np.ndarray, ws=None):
     """The STU layer output (batch, T, d_out) and the cache spectral_backward needs.
 
-    The increments g_t are one causal convolution of the input with the
-    kernel h = sum_j M[j] basis[j] (taps and spectral term together), whose
-    spectrum W[f] = sum_j M[j] B_j[f] is a (d_out, d_in) matrix per frequency
-    bin, one product with the bank's cached basis spectra B.  Spectra are
-    kept batch-major, (batch, bins, channels): the transforms run along the
-    time axis of (batch, time, channels) arrays with no transpose, and
-    applying W is a matmul batched over batch and bins.
+    The output is one causal convolution of the input with the kernel
+    h = sum_j M[j] basis[j], whose spectrum W[f] = sum_j M[j] B_j[f] is a
+    (d_out, d_in) matrix per frequency bin, one product with the bank's
+    cached basis spectra B.  With the fixed y_{t-2} coupling (k_y = 0) those
+    are the spectra of the parity-summed basis, so the convolution gives y
+    itself; with M_y learned it gives the increments g, and a scan on the
+    companion form resolves y.  Spectra are batch-major, (batch, bins,
+    channels), so the transforms run along the time axis of (batch, time,
+    channels) arrays with no transpose.  ws, a dict the caller keeps across
+    calls (_buffer), holds the large arrays, y among them, until the next
+    call with the same ws; the cache passes it on to the backward pass.
     """
     x = _check_layer(params, bank, inputs)
     T = x.shape[1]
     n = _fft_length(T)
-    spectra = _basis(bank, T)[_layer_rows(bank, params.K)]
-    M = stack_m(params)
-    W = (spectra.T @ M.reshape(len(M), -1)).reshape(-1, params.d_out, params.d_in)
-    xf = sfft.rfft(x, n, axis=1)  # (B, bins, d_in)
-    g = sfft.irfft((xf[:, :, None] @ W.transpose(0, 2, 1))[:, :, 0], n, axis=1)[:, :T]
-    y = recurse_outputs(params, g)
-    return y, {"y": y, "spectra": spectra, "W": W, "xf": xf, "n": n}
+    spectra = _basis(bank, T, cumulative=params.k_y == 0)[_layer_rows(bank, params.K)]
+    W2 = _bin_matrices(spectra, stack_m(params))
+    xf = _rfft(x, n, ws, "xf")  # (B, bins, d_in)
+    y = _apply_bins(xf, W2, n, T, ws, "y")
+    if params.k_y:
+        y = recurse_outputs(params, y)
+    return y, {"y": y, "spectra": spectra, "W2": W2, "xf": xf, "n": n, "ws": ws}
 
 
 def spectral_backward(params: StuParams, cache: dict, dy: np.ndarray):
     """Adjoint of spectral_forward: the input gradient and every parameter
     gradient, given dL/dy.
 
-    With lam = dL/dg from the reversed output recursion, the input gradient
-    is the correlation of lam with the kernel (conj(W) per bin).  The kernel
+    With lam = dL/dy for the fixed coupling, or dL/dg from the reversed
+    companion scan when M_y is learned, the input gradient is the
+    correlation of lam with the kernel (conj(W) per bin).  The kernel
     gradient dL/dh[tau] = sum_t lam_t u_{t-tau}^T is the correlation of lam
     with the input, whose spectrum is C[f] = sum_b Lam[b, f] conj(U[b, f]);
     its projection on basis row j is, by Parseval,
-    dM_j = (1/n) sum_f w_f Re(conj(B_j[f]) C[f]), with w_f 1 at DC and
+    dM_j = (1/n) sum_f w_f Re(B_j[f] conj(C[f])), with w_f 1 at DC and
     Nyquist and 2 elsewhere.  That is exact: row j is zero past lag T - 1 and
     n >= 2T - 1, so no anticausal lag of the correlation lands in [0, T).
+    Every product runs on real views of the spectra.
     """
-    y, n = cache["y"], cache["n"]
+    y, n, ws, spectra = cache["y"], cache["n"], cache["ws"], cache["spectra"]
     T = y.shape[1]
-    lam = output_adjoint(params, dy)
-    lf = sfft.rfft(lam, n, axis=1)  # (B, bins, d_out)
-    dx = sfft.irfft((lf[:, :, None] @ cache["W"].conj())[:, :, 0], n, axis=1)[:, :T]
-    C = lf.transpose(1, 2, 0) @ cache["xf"].conj().transpose(1, 0, 2)  # (bins, d_out, d_in)
-    w = np.full(len(C), 2.0 / n)
+    d_out, d_in = params.d_out, params.d_in
+    lam = output_adjoint(params, dy) if params.k_y else dy
+    lf = _rfft(lam, n, ws, "lf")  # (B, bins, d_out)
+    # Contiguous: numpy's per-bin gemm on the transposed view is slower.
+    dx = _apply_bins(lf, np.ascontiguousarray(cache["W2"].transpose(0, 2, 1)), n, T, ws, "dx")
+    # P[f] = sum_b of the real views' outer products, (d_out, re|im, d_in, re|im);
+    # conj(C[f]) = (P_rr + P_ii) + i (P_ri - P_ir).
+    P = (lf.view(np.float64).transpose(1, 2, 0) @ cache["xf"].view(np.float64).transpose(1, 0, 2))
+    P = P.reshape(-1, d_out, 2, d_in, 2)
+    w = np.full((len(P), 1, 1), 2.0 / n)
     w[[0, -1]] = 1.0 / n
-    dM = ((cache["spectra"].conj() * w) @ C.reshape(len(C), -1)).real
-    return dx, layer_grads(params, dM.reshape(-1, params.d_out, params.d_in), lam, y)
+    # Re(B conj(C)) = Re B Re conj(C) - Im B Im conj(C): two products over
+    # the bins.  One product over the real view's interleaved 2 bins axis
+    # rounded differently with OpenBLAS's thread count at the stack's shapes
+    # (35 x 514 x 64), and took 4 ms on two threads against 0.07 on one.
+    G = np.empty((2, len(P), d_out, d_in))
+    G[0] = w * (P[:, :, 0, :, 0] + P[:, :, 1, :, 1])
+    G[1] = w * (P[:, :, 1, :, 0] - P[:, :, 0, :, 1])
+    G = G.reshape(2, len(P), -1)
+    dM = np.ascontiguousarray(spectra.real) @ G[0] + np.ascontiguousarray(spectra.imag) @ G[1]
+    return dx, layer_grads(params, dM.reshape(-1, d_out, d_in), lam, y)
 
 
 def forward(params: StuParams, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:

@@ -168,15 +168,15 @@ def loop_output_adjoint(params, dy):
     return lam
 
 
-def loop_simulate_lds(params, inputs, x0=None):
+def loop_simulate_lds(params, inputs):
     """The rollout x_t = A x_{t-1} + B u_t, y_t = C x_t + D u_t, step by step."""
     batch, T, _ = inputs.shape
-    x = np.zeros((batch, params.d_hidden)) if x0 is None else np.broadcast_to(x0, (batch, params.d_hidden))
+    x = np.zeros((batch, params.d_hidden))
     out = np.empty((batch, T, params.d_out))
     Bu = inputs @ params.B.T
     Du = inputs @ params.D.T
     for t in range(T):
-        x = params.apply_a(x) + Bu[:, t]
+        x = (x * params.A if params.diagonal else x @ params.A.T) + Bu[:, t]
         out[:, t] = x @ params.C.T + Du[:, t]
     return out
 

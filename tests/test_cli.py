@@ -181,7 +181,8 @@ class TestFitCommands:
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["command"] == "fit-stu"
         assert "wall_time_s" in run
-        assert "scipy" in run["versions"]
+        assert {"scipy", "click", "blas"} <= set(run["versions"])
+        assert all(isinstance(v, str) and v for v in run["versions"].values())
         assert set(run["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
 
     def test_final_loss_is_the_dataset_mse_of_the_saved_params(self, tmp_path):
@@ -263,4 +264,18 @@ class TestTrainStack:
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert "eval_accuracy" in report["metrics"]
+
+    def test_final_loss_is_the_train_set_cross_entropy_of_the_checkpoint(self, tmp_path):
+        from spectral_ssm import compute_filterbank, load_stack, make_task_dataset, stack_forward
+        from spectral_ssm.stack import softmax_cross_entropy
+
+        assert run_cli("train-stack", "--task", "noisy_lds_class", "--length", "32",
+                       "--steps", "5", "--batch-size", "8", "--n-train", "32", "--n-eval", "16",
+                       "--seed", "2", "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        model = load_stack(tmp_path / "checkpoint")
+        u, labels, _ = make_task_dataset("noisy_lds_class", 48, 32, seed=3)
+        logits = stack_forward(model, compute_filterbank(32, model.config.K), u[:32])
+        assert report["final_loss"] == softmax_cross_entropy(logits, labels[:32])[0]
+        assert report["metrics"]["train_accuracy"] == np.mean(logits.argmax(axis=1) == labels[:32])
 

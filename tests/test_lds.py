@@ -75,11 +75,6 @@ class TestSimulate:
         y = simulate_lds(scalar_system(), u)
         np.testing.assert_allclose(y.ravel(), [1.0, 0.5, 0.25, 0.125], rtol=1e-15)
 
-    def test_initial_state(self):
-        params = scalar_system(a=0.5, d=0.0)
-        y = simulate_lds(params, np.zeros((1, 3, 1)), x0=np.array([2.0]))
-        np.testing.assert_allclose(y.ravel(), [1.0, 0.5, 0.25], rtol=1e-15)
-
     def test_superposition_and_homogeneity(self):
         params = random_marginal_system(5, 2, 2, 0.999, seed=2)
         u1 = random_inputs(3, 32, 2, seed=3)
@@ -131,20 +126,16 @@ class TestLinearScan:
         assert rel_error(x, loop_scan(a, b, reverse=reverse)) <= SCAN_RTOL
 
     @given(dense=st.booleans(), d=st.integers(1, 6), T=st.integers(1, 70),
-           B=st.sampled_from([1, 3]), rho=RADII, x0=st.sampled_from([None, "shared", "per_row"]),
-           seed=st.integers(0, 2**16))
-    @example(dense=False, d=2, T=1, B=1, rho=1.0, x0="shared", seed=0)
-    @example(dense=True, d=3, T=2, B=3, rho=1.0, x0="per_row", seed=1)
-    @example(dense=True, d=5, T=3, B=1, rho=1.0, x0=None, seed=2)
-    @example(dense=False, d=6, T=3, B=3, rho=1.0, x0="per_row", seed=3)
-    def test_simulate_matches_loop(self, dense, d, T, B, rho, x0, seed):
+           B=st.sampled_from([1, 3]), rho=RADII, seed=st.integers(0, 2**16))
+    @example(dense=False, d=2, T=1, B=1, rho=1.0, seed=0)
+    @example(dense=True, d=3, T=2, B=3, rho=1.0, seed=1)
+    @example(dense=True, d=5, T=3, B=1, rho=1.0, seed=2)
+    @example(dense=False, d=6, T=3, B=3, rho=1.0, seed=3)
+    def test_simulate_matches_loop(self, dense, d, T, B, rho, seed):
         rng = np.random.default_rng(seed)
         params = random_system(symmetric_a(d, rho, dense, rng), 2, 3, rng)
         u = rng.standard_normal((B, T, 2))
-        x0 = {None: None, "shared": rng.standard_normal(d),
-              "per_row": rng.standard_normal((B, d))}[x0]
-        y = simulate_lds(params, u, x0=x0)
-        assert rel_error(y, loop_simulate_lds(params, u, x0=x0)) <= SCAN_RTOL
+        assert rel_error(simulate_lds(params, u), loop_simulate_lds(params, u)) <= SCAN_RTOL
 
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("T", range(1, 9))

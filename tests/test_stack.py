@@ -12,7 +12,7 @@ from spectral_ssm import (
     stack_gradients,
     train_stack,
 )
-from spectral_ssm.stack import accuracy, softmax_cross_entropy, train_on_dataset
+from spectral_ssm.stack import evaluate, softmax_cross_entropy, train_on_dataset
 
 from conftest import fd_gradcheck, reference_stu_outputs
 
@@ -139,6 +139,37 @@ class TestGradients:
         )
         assert worst <= 1e-5
 
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("pooling", ["last", "mean"])
+    @pytest.mark.parametrize("k_y", [0, 1])
+    def test_no_buffer_leaks_between_steps(self, bank64, n_layers, pooling, k_y):
+        # stack_gradients reuses the model's workspace from call to call: no
+        # step may read what an earlier one left there, or write into the
+        # gradients an earlier one returned.  Batch c has a's batch size and a
+        # shorter length with the same FFT length, so it reuses a's padded
+        # buffers over a's longer data.
+        def make():
+            rng = np.random.default_rng(20)
+            model = init_stack(small_config(n_layers=n_layers, pooling=pooling, k_y=k_y), seed=21)
+            for _, arr in model.named_arrays():
+                arr += 0.2 * rng.standard_normal(arr.shape)
+            return model
+
+        rng = np.random.default_rng(22)
+        a, b, c = ((rng.standard_normal((n, T, 2)), rng.integers(0, 3, n))
+                   for n, T in ((3, 24), (5, 20), (3, 20)))
+        model = make()
+        first = stack_gradients(model, bank64, *a)
+        kept = {name: g.copy() for name, g in first[1].items()}
+        for batch, (loss, grads) in zip((a, b, a, c), [first] + [
+                stack_gradients(model, bank64, *batch) for batch in (b, a, c)]):
+            fresh_loss, fresh = stack_gradients(make(), bank64, *batch)
+            assert loss == fresh_loss
+            for name, g in fresh.items():
+                np.testing.assert_array_equal(grads[name], g, err_msg=name)
+        for name, g in kept.items():
+            np.testing.assert_array_equal(first[1][name], g, err_msg=name)
+
     def test_softmax_cross_entropy_values(self):
         logits = np.array([[0.0, 0.0], [10.0, 0.0]])
         labels = np.array([0, 0])
@@ -224,7 +255,7 @@ class TestTraining:
         model = init_stack(cfg, seed=9)
         tc = TrainConfig(learning_rate=5e-3, steps=150, batch_size=32, seed=0)
         train_on_dataset(model, bank, (u[:512], shuffled), tc)
-        held = accuracy(model, bank, u[512:], labels[512:])
+        held, _ = evaluate(model, bank, u[512:], labels[512:])
         assert 0.3 <= held <= 0.7
 
     def test_checkpoint_round_trip(self, tmp_path, bank64):

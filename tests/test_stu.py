@@ -282,7 +282,8 @@ class TestLayerStreams:
 class TestSpectralKernel:
     # The spectral term is delayed two steps: T = 1 and 2 leave it empty and
     # T = 3 gives it one lag.  These edges always run, on both variants and
-    # every k_y.
+    # every k_y; each T <= 3 has both families with the y_{t-2} coupling
+    # folded into the basis (k_y = 0) and with the companion scan (k_y = 1).
     @given(case=kernel_cases())
     @example(case=(PRIMARY, 8, 4, 3, 1, 0, 1, 2, 2, 0))
     @example(case=(ALT, 8, 4, 4, 1, 2, 3, 1, 2, 1))
@@ -291,6 +292,13 @@ class TestSpectralKernel:
     @example(case=(PRIMARY, 3, 3, 3, 3, 2, 3, 2, 2, 4))
     @example(case=(ALT, 3, 2, 2, 3, 1, 1, 1, 1, 5))
     @example(case=(PRIMARY, 32, 8, 8, 3, 0, 3, 2, 2, 6))
+    @example(case=(PRIMARY, 8, 4, 4, 1, 1, 3, 2, 1, 11))
+    @example(case=(ALT, 8, 4, 2, 1, 0, 3, 1, 2, 12))
+    @example(case=(ALT, 8, 4, 3, 1, 1, 1, 2, 2, 13))
+    @example(case=(PRIMARY, 8, 4, 3, 2, 0, 3, 1, 2, 14))
+    @example(case=(ALT, 8, 4, 4, 2, 1, 3, 2, 1, 15))
+    @example(case=(PRIMARY, 8, 4, 2, 3, 1, 1, 2, 2, 16))
+    @example(case=(ALT, 8, 4, 4, 3, 0, 3, 2, 2, 17))
     # T = L = 32: the FFT length is exactly 2T, so a basis tap past T - 1
     # would wrap around into the first outputs.
     @example(case=(PRIMARY, 32, 8, 8, 32, 0, 3, 2, 2, 7))

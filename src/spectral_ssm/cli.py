@@ -19,6 +19,7 @@ when it loads, before any command runs.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.metadata
 import json
 import os
@@ -376,7 +377,7 @@ def sweep_k(run, fixture, K, length, sequences, noise_std, method, seed, **_):
 def train_stack_cmd(run, task, length, steps, lr, batch_size, n_train, n_eval, seed, **_):
     """Train the stacked classifier on a synthetic task."""
     tc = trainer.TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, seed=seed)
-    report = stack.train_stack(task, None, tc, L=length, n_train=n_train, n_eval=n_eval)
+    report = stack.train_stack(task, tc, L=length, n_train=n_train, n_eval=n_eval)
     _write_report(run, report, report.metrics["train_loss"])
     stack.save_stack(report.final_params, run.out / "checkpoint")
     click.echo(f"eval accuracy {report.metrics.get('eval_accuracy'):.4f}")
@@ -388,21 +389,17 @@ def _write_report(run: RunContext, report, final_loss: float | None = None,
     fit-stu and fit-lru pass the dataset MSE of the params they save, and
     train-stack their mean cross-entropy over the training set."""
     doc = {
-        "config": report.config.to_dict(),
+        "config": dataclasses.asdict(report.config),
         "diverged": report.diverged,
         "divergence_step": report.divergence_step,
         "final_loss": float(report.loss_curve[-1] if final_loss is None else final_loss),
-        "metrics": {k: v for k, v in report.metrics.items() if _json_safe(v)},
+        "metrics": report.metrics,
     }
     if extra:
         doc.update(extra)
     _write_json(run.out / "report.json", doc)
     _write_csv(run.out / "loss.csv", ["step", "loss"],
                [(i, float(l)) for i, l in enumerate(report.loss_curve)])
-
-
-def _json_safe(v) -> bool:
-    return isinstance(v, (bool, int, float, str, list, dict, type(None)))
 
 
 def main(argv=None) -> int:

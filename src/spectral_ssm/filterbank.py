@@ -240,10 +240,7 @@ def mu_vector(alpha: float, L: int, variant: HankelVariant = HankelVariant.PRIMA
         if not -1.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [-1, 1] for the alternative variant, got {alpha}")
         lead = alpha**2 - 1.0
-    powers = np.ones(L) if alpha == 0.0 else np.power(float(alpha), np.arange(L))
-    if alpha == 0.0 and L > 1:
-        powers[1:] = 0.0  # 0^0 = 1, higher powers vanish
-    return lead * powers
+    return lead * np.power(float(alpha), np.arange(L))  # 0^0 = 1
 
 
 def projection_residual(bank: FilterBank, alpha: float) -> float:

@@ -141,17 +141,16 @@ def random_symmetric_system(
     return LdsParams(A=A, B=B, C=C, D=D)
 
 
-def random_inputs(batch: int, T: int, d_in: int, seed: int, scale: float = 1.0) -> np.ndarray:
-    """I.i.d. standard normal input sequences, scaled."""
-    rng = np.random.default_rng(seed)
-    return scale * rng.standard_normal((batch, T, d_in))
+def random_inputs(batch: int, T: int, d_in: int, seed: int) -> np.ndarray:
+    """I.i.d. standard normal input sequences."""
+    return np.random.default_rng(seed).standard_normal((batch, T, d_in))
 
 
-def bounded_inputs(batch: int, T: int, d_in: int, seed: int, bound: float = 1.0) -> np.ndarray:
-    """Gaussian inputs rescaled so every per-step vector norm is <= bound."""
+def bounded_inputs(batch: int, T: int, d_in: int, seed: int) -> np.ndarray:
+    """Gaussian inputs rescaled so the largest per-step vector norm is 1."""
     u = random_inputs(batch, T, d_in, seed)
     norms = np.linalg.norm(u, axis=2, keepdims=True)
-    return u * (bound / np.maximum(norms.max(), 1e-30))
+    return u * (1.0 / np.maximum(norms.max(), 1e-30))
 
 
 def markov_params(params: LdsParams, horizon: int) -> list[np.ndarray]:

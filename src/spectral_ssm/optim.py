@@ -8,27 +8,29 @@ import math
 import numpy as np
 
 
+# The moment decay rates and the denominator's guard, at Kingma and Ba's values.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, named_params, grads: dict, lr: float):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         for name, p in named_params:
             g = grads[name]
             m = self.m.setdefault(name, np.zeros_like(p))
             v = self.v.setdefault(name, np.zeros_like(p))
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            p -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
+            mhat = m / (1 - BETA1**self.t)
+            vhat = v / (1 - BETA2**self.t)
+            p -= lr * mhat / (np.sqrt(vhat) + EPS)
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, schedule: str, warmup_frac: float) -> float:

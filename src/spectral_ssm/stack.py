@@ -10,7 +10,7 @@ exists for ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -84,18 +84,7 @@ def save_stack(model: StackModel, directory):
     """Checkpoint the model as a JSON manifest plus packed float64 payload."""
     from .container import save_arrays
 
-    cfg = model.config
-    meta = {
-        "kind": "stack_checkpoint",
-        "n_layers": cfg.n_layers,
-        "d_model": cfg.d_model,
-        "K": cfg.K,
-        "k_y": cfg.k_y,
-        "d_in": cfg.d_in,
-        "n_classes": cfg.n_classes,
-        "pooling": cfg.pooling,
-        "pre_scale": cfg.pre_scale,
-    }
+    meta = {"kind": "stack_checkpoint", **asdict(model.config)}
     return save_arrays(directory, meta, dict(model.named_arrays()))
 
 
@@ -105,18 +94,17 @@ def load_stack(directory) -> StackModel:
     meta, arrays = load_arrays(directory)
     if meta.get("kind") != "stack_checkpoint":
         raise ValueError(f"not a stack checkpoint: {directory}")
-    cfg = StackConfig(
-        n_layers=int(meta["n_layers"]), d_model=int(meta["d_model"]), K=int(meta["K"]),
-        k_y=int(meta["k_y"]), d_in=int(meta["d_in"]), n_classes=int(meta["n_classes"]),
-        pooling=meta["pooling"], pre_scale=meta["pre_scale"],
-    )
-    model = init_stack(cfg, seed=0)
+    model = init_stack(StackConfig(**{f.name: meta[f.name] for f in fields(StackConfig)}), seed=0)
     for name, arr in model.named_arrays():
         arr[:] = arrays[name]
     return model
 
 
-def init_stack(config: StackConfig, seed: int = 0, init_scale: float = 0.5) -> StackModel:
+# Scale of the initial GLU and readout weights, relative to 1 / sqrt(d_model).
+_INIT_SCALE = 0.5
+
+
+def init_stack(config: StackConfig, seed: int = 0) -> StackModel:
     """Spectral matrices start at zero; the surrounding linear maps get small
     Gaussian weights so gradients reach every layer from the first step."""
     rng = np.random.default_rng(seed)
@@ -126,9 +114,9 @@ def init_stack(config: StackConfig, seed: int = 0, init_scale: float = 0.5) -> S
         layers.append(
             StackLayer(
                 stu=StuParams.zeros(config.K, d, d, k_y=config.k_y),
-                W_val=init_scale * rng.standard_normal((d, d)) / np.sqrt(d),
+                W_val=_INIT_SCALE * rng.standard_normal((d, d)) / np.sqrt(d),
                 b_val=np.zeros(d),
-                W_gate=init_scale * rng.standard_normal((d, d)) / np.sqrt(d),
+                W_gate=_INIT_SCALE * rng.standard_normal((d, d)) / np.sqrt(d),
                 b_gate=np.zeros(d),
             )
         )
@@ -137,7 +125,7 @@ def init_stack(config: StackConfig, seed: int = 0, init_scale: float = 0.5) -> S
         embed_W=rng.standard_normal((d, config.d_in)) / np.sqrt(config.d_in),
         embed_b=np.zeros(d),
         layers=layers,
-        readout_W=init_scale * rng.standard_normal((config.n_classes, d)) / np.sqrt(d),
+        readout_W=_INIT_SCALE * rng.standard_normal((config.n_classes, d)) / np.sqrt(d),
         readout_b=np.zeros(config.n_classes),
     )
 
@@ -190,7 +178,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     probs = expv / expv.sum(axis=1, keepdims=True)
     B = logits.shape[0]
     rows = np.arange(B)
-    loss = float(-np.mean(np.log(np.maximum(probs[rows, labels], 1e-300))))
+    # 0 - mean rather than -mean, so a certain prediction scores +0.0.
+    loss = float(0.0 - np.mean(np.log(np.maximum(probs[rows, labels], 1e-300))))
     dlogits = probs.copy()
     dlogits[rows, labels] -= 1.0
     return loss, dlogits / B
@@ -252,19 +241,22 @@ def stack_gradients(model: StackModel, bank: FilterBank, inputs: np.ndarray, lab
 # ---------------------------------------------------------------------------
 
 
-def make_task_dataset(task: str, n: int, L: int, seed: int, **kw):
+def make_task_dataset(task: str, n: int, L: int, seed: int, delay: int | None = None,
+                      block: int = 32):
     """Inputs (n, L, d_in), integer labels (n,), and the class count.
 
-    delayed_recall: random sign tokens held over fixed blocks; the label is
-    the token of the block `delay` steps before the sequence end.
+    delayed_recall: random sign tokens held over blocks of `block` steps; the
+    label is the token of the block `delay` (default L // 2) steps before the
+    sequence end.
     parity_prefix: the label is the parity of the +1 count of a sign sequence.
     noisy_lds_class: the label is the sign of the pooled output of a fixed
-    marginally stable system driven by the (noisily observed) input.
+    marginally stable system (seed 1234) driven by the input, which is
+    observed with Gaussian noise of standard deviation 0.1.
     """
     rng = np.random.default_rng(seed)
     if task == "delayed_recall":
-        delay = int(kw.get("delay", L // 2))
-        block = int(kw.get("block", 32))
+        if delay is None:
+            delay = L // 2
         if not 0 <= delay < L:
             raise ValueError(f"delay must be in [0, L), got {delay}")
         n_blocks = (L + block - 1) // block
@@ -278,12 +270,11 @@ def make_task_dataset(task: str, n: int, L: int, seed: int, **kw):
         labels = ((signs > 0).sum(axis=1) % 2).astype(np.int64)
         return signs[:, :, None], labels, 2
     if task == "noisy_lds_class":
-        noise = float(kw.get("noise", 0.1))
-        system = random_marginal_system(4, 1, 1, 0.999, seed=kw.get("system_seed", 1234))
+        system = random_marginal_system(4, 1, 1, 0.999, seed=1234)
         u = rng.standard_normal((n, L, 1))
         y = simulate_lds(system, u)
         labels = (y.mean(axis=(1, 2)) > 0).astype(np.int64)
-        inputs = u + noise * rng.standard_normal(u.shape)
+        inputs = u + 0.1 * rng.standard_normal(u.shape)
         return inputs, labels, 2
     raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
 
@@ -295,12 +286,15 @@ _TASK_DEFAULTS = {
 }
 
 
-def evaluate(model: StackModel, bank: FilterBank, inputs, labels, batch: int = 256):
+_EVAL_BATCH = 256  # examples per forward pass in evaluate
+
+
+def evaluate(model: StackModel, bank: FilterBank, inputs, labels):
     """Accuracy and mean softmax cross-entropy over a dataset, in batches."""
     hits, loss = 0, 0.0
-    for start in range(0, len(labels), batch):
-        logits = stack_forward(model, bank, inputs[start : start + batch])
-        chunk = labels[start : start + batch]
+    for start in range(0, len(labels), _EVAL_BATCH):
+        logits = stack_forward(model, bank, inputs[start : start + _EVAL_BATCH])
+        chunk = labels[start : start + _EVAL_BATCH]
         hits += int((logits.argmax(axis=1) == chunk).sum())
         loss += softmax_cross_entropy(logits, chunk)[0] * len(chunk)
     return hits / len(labels), loss / len(labels)
@@ -328,26 +322,19 @@ def train_on_dataset(
 
 def train_stack(
     task: str,
-    config: StackConfig | None,
     train_config: TrainConfig,
     L: int = 256,
     n_train: int = 2048,
     n_eval: int = 512,
-    bank: FilterBank | None = None,
     **task_kw,
 ) -> TrainReport:
-    """Generate the task from seed, train a stack model, report held-out accuracy."""
-    if config is None:
-        if task not in _TASK_DEFAULTS:
-            raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
-        config = StackConfig(**_TASK_DEFAULTS[task])
+    """Generate the task from seed, train the task's default stack model on
+    it, report held-out accuracy.  task_kw goes to make_task_dataset."""
     inputs, labels, n_classes = make_task_dataset(
         task, n_train + n_eval, L, seed=train_config.seed + 1, **task_kw
     )
-    config.d_in = inputs.shape[2]
-    config.n_classes = n_classes
-    if bank is None:
-        bank = compute_filterbank(L, config.K)
+    config = StackConfig(**_TASK_DEFAULTS[task], d_in=inputs.shape[2], n_classes=n_classes)
+    bank = compute_filterbank(L, config.K)
     model = init_stack(config, seed=train_config.seed)
     report = train_on_dataset(
         model,

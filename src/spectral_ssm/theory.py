@@ -113,15 +113,6 @@ class ApproximationReport:
     satisfied: bool
     constant_used: float
 
-    def to_dict(self) -> dict:
-        return {
-            "max_err": self.max_err,
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-            "constant_used": self.constant_used,
-            "per_t_err": [float(e) for e in self.per_t_err],
-        }
-
 
 def approximation_report(
     lds: LdsParams, stu_params: StuParams, bank: FilterBank, inputs: np.ndarray

@@ -7,9 +7,8 @@ Datasets are (inputs, targets) pairs of float64 arrays shaped
 
 from __future__ import annotations
 
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -48,15 +47,11 @@ class TrainConfig:
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must be in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass
 class TrainReport:
     loss_curve: np.ndarray
     final_params: object
-    wall_time: float
     config: TrainConfig
     diverged: bool = False
     divergence_step: int | None = None
@@ -95,19 +90,16 @@ def train(params, loss_and_grads, n: int, config: TrainConfig, metrics: dict | N
     rng = np.random.default_rng(config.seed)
     opt = Adam()
     losses = np.zeros(config.steps)
-    t0 = time.perf_counter()
     for step in range(config.steps):
         loss, grads = loss_and_grads(rng.integers(0, n, size=config.batch_size))
         losses[step] = loss
         if not np.isfinite(loss):
-            report = TrainReport(
-                losses[: step + 1], params, time.perf_counter() - t0, config,
-                diverged=True, divergence_step=step, metrics=metrics,
-            )
+            report = TrainReport(losses[: step + 1], params, config, diverged=True,
+                                 divergence_step=step, metrics=metrics)
             raise TrainingDiverged(step, report)
         lr = lr_at(step, config.steps, config.learning_rate, config.lr_schedule, config.warmup_frac)
         opt.step(list(params.named_arrays()), grads, lr)
-    return TrainReport(losses, params, time.perf_counter() - t0, config, metrics=metrics)
+    return TrainReport(losses, params, config, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +260,7 @@ class LruOptions:
     max_init_phase: float = 6.28
 
     def to_dict(self) -> dict:
-        return {
-            "stable_exp": self.stable_exp,
-            "gamma_norm": self.gamma_norm,
-            "ring_init": list(self.ring_init),
-            "max_init_phase": self.max_init_phase,
-        }
+        return asdict(self)
 
 
 @dataclass

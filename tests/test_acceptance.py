@@ -323,8 +323,8 @@ def test_criterion_9_out_of_scope_substitutes():
     # 1800 steps gives seed-robust convergence (eval 1.0 across seeds 0-2).
     tc = trainer_mod.TrainConfig(learning_rate=1e-2, steps=1800, batch_size=64, seed=0,
                                  lr_schedule="warmup_cosine", warmup_frac=0.05)
-    rep = stack_mod.train_stack("delayed_recall", None, tc, L=256, n_train=2048,
-                                n_eval=512, delay=128, block=32)
+    rep = stack_mod.train_stack("delayed_recall", tc, L=256, n_train=2048, n_eval=512,
+                                delay=128, block=32)
     recall_acc = rep.metrics["eval_accuracy"]
     elapsed = time.perf_counter() - t0
     ok = overfit_ok and recall_acc >= 0.9

@@ -177,6 +177,9 @@ class TestGradients:
         expect = 0.5 * (np.log(2.0) + np.log(1 + np.exp(-10.0)))
         assert loss == pytest.approx(expect, rel=1e-12)
         np.testing.assert_allclose(dlogits.sum(axis=1), 0.0, atol=1e-12)
+        # A certain prediction costs +0.0, not -0.0.
+        loss, _ = softmax_cross_entropy(np.array([[800.0, 0.0]]), np.array([0]))
+        assert loss == 0.0 and not np.signbit(loss)
 
 
 class TestTasks:
@@ -211,6 +214,10 @@ class TestTasks:
             make_task_dataset("copy", 4, 16, seed=0)
         with pytest.raises(ValueError, match="delay"):
             make_task_dataset("delayed_recall", 4, 16, seed=0, delay=16)
+
+    def test_misspelt_keyword(self):
+        with pytest.raises(TypeError):
+            make_task_dataset("parity_prefix", 4, 8, seed=0, dealy=3)
 
 
 class TestTraining:
@@ -276,6 +283,6 @@ class TestTraining:
     def test_train_stack_delay_zero_fast(self):
         tc = TrainConfig(learning_rate=1e-2, steps=250, batch_size=32, seed=0,
                          lr_schedule="warmup_cosine", warmup_frac=0.05)
-        report = train_stack("delayed_recall", None, tc, L=64, n_train=512, n_eval=128,
+        report = train_stack("delayed_recall", tc, L=64, n_train=512, n_eval=128,
                              delay=0, block=16)
         assert report.metrics["eval_accuracy"] >= 0.99

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -143,7 +145,7 @@ class TestApproximationReport:
         rep = approximation_report(lds, params, bank64, u)
         assert rep.per_t_err.shape == (64,)
         assert rep.max_err == pytest.approx(rep.per_t_err.max())
-        doc = rep.to_dict()
+        doc = asdict(rep)
         assert set(doc) >= {"max_err", "bound", "satisfied", "constant_used", "per_t_err"}
 
 

@@ -1,4 +1,4 @@
-"""Command-line driver: filter generation and caching, experiment execution,
+"""Command-line driver: filter generation, experiment execution,
 representation verification, and CSV/JSON export.
 
 Each command's click options are the one source of its defaults, types and
@@ -116,15 +116,6 @@ class RunContext:
         _write_json(self.out / "run.json", doc)
 
 
-def _resolve_cache_root(out: str | None) -> Path:
-    if out:
-        return Path(out)
-    env = os.environ.get("SPECTRAL_STU_CACHE")
-    if env:
-        return Path(env)
-    return Path.cwd() / "filter-cache"
-
-
 def _fixture_system(name: str):
     if name == "marginal":
         return lds.marginal_fixture()
@@ -196,12 +187,9 @@ cli.command_class = RunCommand
 @click.option("--L", "L", type=int, default=256, show_default=True)
 @click.option("--K", "K", type=int, default=24, show_default=True)
 @click.option("--variant", type=click.Choice(["primary", "alternative"]), default="primary")
-def gen_filters(run, L, K, variant, out, **_):
-    """Compute a filter bank and write it to the cache directory."""
-    # run.json goes with the bank, or into the cache root if the run fails.
-    run.out = root = _resolve_cache_root(out)
-    bank = fb.compute_filterbank(L, K, fb.HankelVariant(variant))
-    run.out = fb.save_filterbank(bank, root / fb.cache_key(bank.L, bank.K, bank.variant))
+def gen_filters(run, L, K, variant, **_):
+    """Compute a filter bank and write it to the output directory."""
+    fb.save_filterbank(fb.compute_filterbank(L, K, fb.HankelVariant(variant)), run.out)
     click.echo(f"wrote {run.out}")
 
 
@@ -383,16 +371,16 @@ def train_stack_cmd(run, task, length, steps, lr, batch_size, n_train, n_eval, s
     click.echo(f"eval accuracy {report.metrics.get('eval_accuracy'):.4f}")
 
 
-def _write_report(run: RunContext, report, final_loss: float | None = None,
+def _write_report(run: RunContext, report, final_loss: float | None,
                   extra: dict | None = None) -> None:
-    """report.json and loss.csv.  final_loss defaults to the last step's loss;
-    fit-stu and fit-lru pass the dataset MSE of the params they save, and
-    train-stack their mean cross-entropy over the training set."""
+    """report.json and loss.csv.  fit-stu and fit-lru pass as final_loss the
+    dataset MSE of the params they save (None, written as null, when fit-lru
+    diverged), and train-stack their mean cross-entropy over the training set."""
     doc = {
         "config": dataclasses.asdict(report.config),
         "diverged": report.diverged,
         "divergence_step": report.divergence_step,
-        "final_loss": float(report.loss_curve[-1] if final_loss is None else final_loss),
+        "final_loss": None if final_loss is None else float(final_loss),
         "metrics": report.metrics,
     }
     if extra:

@@ -252,9 +252,9 @@ def projection_residual(bank: FilterBank, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# On-disk cache: a container (manifest.json + payload.f64le) of kind
-# "filterbank" holding sigma and phi.  Loads verify the payload checksum and
-# the eigen-residuals.
+# On disk: a container (manifest.json + payload.f64le) of kind "filterbank"
+# holding sigma and phi.  Loads verify the payload checksum and the
+# eigen-residuals.
 # ---------------------------------------------------------------------------
 
 
@@ -271,7 +271,3 @@ def load_filterbank(directory) -> FilterBank:
                       sigma=arrays["sigma"], phi=arrays["phi"])
     bank.validate()
     return bank
-
-
-def cache_key(L: int, K: int, variant: HankelVariant) -> str:
-    return f"{_as_variant(variant).value}-L{L}-K{K}"

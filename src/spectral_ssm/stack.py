@@ -259,6 +259,8 @@ def make_task_dataset(task: str, n: int, L: int, seed: int, delay: int | None = 
             delay = L // 2
         if not 0 <= delay < L:
             raise ValueError(f"delay must be in [0, L), got {delay}")
+        if block < 1:
+            raise ValueError(f"block must be at least 1, got {block}")
         n_blocks = (L + block - 1) // block
         tokens = rng.choice([-1.0, 1.0], size=(n, n_blocks))
         inputs = np.repeat(tokens, block, axis=1)[:, :L, None]

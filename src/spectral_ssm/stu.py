@@ -176,6 +176,8 @@ def _layer_rows(bank: FilterBank, K: int):
     """The _basis rows of a layer with K filters, in stack_m's order: a slice
     when they are contiguous, so indexing takes a view of the cached spectra
     rather than copying them."""
+    if K < 0:
+        raise ValueError(f"K must be non-negative, got {K}")
     if K > bank.K:
         raise ValueError(f"need {K} filters but bank has {bank.K}")
     families = 2 if bank.variant is HankelVariant.PRIMARY else 1

@@ -11,27 +11,33 @@ def run_cli(*args):
 
 
 class TestGenFilters:
-    def test_writes_cache(self, tmp_path):
+    def test_writes_bank_into_out(self, tmp_path):
         code = run_cli("gen-filters", "--L", "32", "--K", "4", "--variant", "primary",
                        "--out", str(tmp_path))
         assert code == 0
-        d = tmp_path / "primary-L32-K4"
-        assert (d / "manifest.json").exists() and (d / "payload.f64le").exists()
-        meta = json.loads((d / "manifest.json").read_text())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "payload.f64le",
+                                                              "run.json"]
+        meta = json.loads((tmp_path / "manifest.json").read_text())
         assert meta["kind"] == "filterbank" and meta["L"] == 32 and meta["K"] == 4
-        assert (d / "run.json").exists()
+        assert json.loads((tmp_path / "run.json").read_text())["exit_code"] == 0
 
-    def test_env_cache_root(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPECTRAL_STU_CACHE", str(tmp_path / "cache"))
+    @pytest.mark.parametrize("variant", ["primary", "alternative"])
+    def test_loaded_bank_is_bitwise_the_computed_one(self, tmp_path, variant):
+        from spectral_ssm import HankelVariant, compute_filterbank, load_filterbank
+
+        assert run_cli("gen-filters", "--L", "16", "--K", "3", "--variant", variant,
+                       "--out", str(tmp_path)) == 0
+        bank = load_filterbank(tmp_path)
+        expect = compute_filterbank(16, 3, HankelVariant(variant))
+        assert (bank.L, bank.K, bank.variant) == (expect.L, expect.K, expect.variant)
+        assert np.array_equal(bank.sigma, expect.sigma) and np.array_equal(bank.phi, expect.phi)
+
+    def test_default_out_is_runs_gen_filters(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert run_cli("gen-filters", "--L", "16", "--K", "2") == 0
-        assert (tmp_path / "cache" / "primary-L16-K2" / "manifest.json").exists()
-
-    def test_loadable_by_library(self, tmp_path):
-        from spectral_ssm import load_filterbank
-
-        run_cli("gen-filters", "--L", "16", "--K", "3", "--out", str(tmp_path))
-        bank = load_filterbank(tmp_path / "primary-L16-K3")
-        assert bank.K == 3
+        out = tmp_path / "runs" / "gen-filters"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "payload.f64le",
+                                                         "run.json"]
 
 
 class TestExitCodes:
@@ -70,8 +76,8 @@ class TestExitCodes:
 
 
 @pytest.mark.parametrize("doc, flags, code, bank", [
-    ({"L": 16, "K": 3}, ["--K", "6"], 0, "primary-L16-K6"),
-    ({"L": 16, "K": 3, "variant": "alternative"}, [], 0, "alternative-L16-K3"),
+    ({"L": 16, "K": 3}, ["--K", "6"], 0, ("primary", 16, 6)),
+    ({"L": 16, "K": 3, "variant": "alternative"}, [], 0, ("alternative", 16, 3)),
     ({"L": 16, "K": 2, "lenght": 32}, [], 64, None),
     ({"L": 16, "K": 2, "variant": "nope"}, [], 64, None),
     ({"L": 16, "K": "two"}, [], 64, None),
@@ -83,7 +89,11 @@ def test_config_file_contract(tmp_path, doc, flags, code, bank):
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert run_cli("gen-filters", "--config", str(cfg), *flags, "--out", str(out)) == code
-    assert sorted(p.name for p in out.glob("*")) == ([bank] if bank else [])
+    if bank is None:
+        assert not out.exists()
+    else:
+        meta = json.loads((out / "manifest.json").read_text())
+        assert (meta["variant"], meta["L"], meta["K"]) == bank
 
 
 @pytest.mark.parametrize("args", [
@@ -225,6 +235,17 @@ class TestFitCommands:
                        "--d-hidden", "4", "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "report.json").exists()
+
+    def test_diverged_fit_lru_writes_valid_json(self, tmp_path):
+        assert run_cli("fit-lru", "--no-stable-exp", "--no-gamma-norm", "--ring-min", "0",
+                       "--ring-max", "1", "--lr", "10", "--steps", "200", "--sequences", "4",
+                       "--length", "64", "--out", str(tmp_path)) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert report["diverged"] is True and report["final_loss"] is None
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ("fit-stu", "--length", "32", "--K", "4", "--sequences", "2",

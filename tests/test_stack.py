@@ -214,6 +214,9 @@ class TestTasks:
             make_task_dataset("copy", 4, 16, seed=0)
         with pytest.raises(ValueError, match="delay"):
             make_task_dataset("delayed_recall", 4, 16, seed=0, delay=16)
+        for block in (0, -4):
+            with pytest.raises(ValueError, match="block"):
+                make_task_dataset("delayed_recall", 4, 16, seed=0, block=block)
 
     def test_misspelt_keyword(self):
         with pytest.raises(TypeError):

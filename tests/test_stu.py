@@ -278,6 +278,17 @@ class TestLayerStreams:
             features = stu.layer_streams(bank, K, stu.parity_cumsum(x)).transpose(2, 3, 0, 1)
             assert rel_error(features, reference_cumulative_features(bank, K, x)) <= 1e-12
 
+    def test_negative_k_is_rejected_and_zero_keeps_the_taps(self, bank64):
+        from spectral_ssm.trainer import fit_stu_least_squares
+
+        u = np.random.default_rng(0).standard_normal((2, 16, 2))
+        with pytest.raises(ValueError, match="K must be non-negative"):
+            stu.layer_streams(bank64, -2, u)
+        with pytest.raises(ValueError, match="K must be non-negative"):
+            fit_stu_least_squares((u, u), bank64, -1)
+        assert stu.layer_streams(bank64, 0, u).shape == (3, 2, 2, 16)
+        assert fit_stu_least_squares((u, u), bank64, 0).K == 0
+
 
 class TestSpectralKernel:
     # The spectral term is delayed two steps: T = 1 and 2 leave it empty and

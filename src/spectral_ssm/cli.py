@@ -289,7 +289,8 @@ def verify_ar(run, systems, d_max, length, radius, rtol, seed, **_):
 def fit_stu_cmd(run, fixture, K, k_y, length, sequences, steps, lr, seed, **_):
     """Train an STU layer on rollouts of a fixture system."""
     system = _fixture_system(fixture)
-    bank = fb.compute_filterbank(length, K)
+    # A bank holds at least one filter; K = 0 fits the taps-only layer, as in sweep-k.
+    bank = fb.compute_filterbank(length, max(K, 1))
     u = lds.random_inputs(sequences, bank.L, system.d_in, seed + 1)
     y = lds.simulate_lds(system, u)
     tc = trainer.TrainConfig(learning_rate=lr, steps=steps, batch_size=1, seed=seed)

@@ -6,6 +6,12 @@ convolution by constant filters, GLU, pooling, softmax cross-entropy) rather
 than a general tape; every parameter gradient is finite-difference checkable.
 No normalization layers by default; an optional constant pre-layer scale
 exists for ablations.
+
+The embedding is folded into the first layer's kernel: that layer transforms
+[u, 1], d_in + 1 channels, with its matrices composed with
+E = [embed_W | embed_b], so no d_model-channel embedding is formed or
+transformed, and the chain rule through the composition gives the embedding
+gradients.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from .filterbank import FilterBank, compute_filterbank
 from .lds import random_marginal_system, simulate_lds
-from .stu import StuParams, _buffer, _outer_sum, spectral_backward
+from .stu import StuParams, _buffer, _outer_sum, spectral_backward, split_m, stack_m
 # Layers call the shared kernel through this module-level name, which
 # perfbench's tests patch to inject a wrong-but-finite layer.
 from .stu import spectral_forward as _stu_layer_forward
@@ -130,23 +136,53 @@ def init_stack(config: StackConfig, seed: int = 0) -> StackModel:
     )
 
 
+def _fold_embedding(stu: StuParams, E: np.ndarray) -> StuParams:
+    """The layer whose input is [u, 1] and whose kernel is stu's composed with
+    the embedding E = [embed_W | embed_b]: M'_j = M_j E for every stack_m row;
+    M_y acts on the outputs and stays."""
+    M = stack_m(stu) @ E
+    return StuParams(stu.variant, stu.K, E.shape[1], stu.d_out, **split_m(M, stu.K), M_y=stu.M_y)
+
+
+def _unfold_grads(stu: StuParams, folded: dict, E: np.ndarray):
+    """The chain rule back through _fold_embedding: stu's gradients and dL/dE
+    from the folded layer's, dM_j = dM'_j E^T and dE = sum_j M_j^T dM'_j."""
+    dMf = np.concatenate([folded["M_u"], folded["M_phi_plus"], folded["M_phi_minus"]])
+    dE = stack_m(stu).reshape(-1, stu.d_in).T @ dMf.reshape(-1, E.shape[1])
+    return {**folded, **split_m(dMf @ E.T, stu.K)}, dE
+
+
 def _forward_cached(model: StackModel, bank: FilterBank, inputs: np.ndarray, reuse: bool = False):
-    """Logits, the last activations, the pooled features and each layer's
-    (kernel cache, a, s).  With reuse the large arrays come from the model's
-    workspaces, so they live until the next reusing call."""
+    """Logits, the last activations, the pooled features, the embedding
+    matrix E and each layer's (kernel params, kernel cache, a, s).  With
+    reuse the large arrays come from the model's workspaces, so they live
+    until the next reusing call.
+
+    The embedding is linear and the STU is a convolution by fixed filters
+    followed by a linear map, so the embedding folds into the first layer's
+    kernel: layer 0 transforms [u, 1] (d_in + 1 channels) with the params
+    _fold_embedding composes with E = [embed_W | embed_b] (times pre_scale),
+    and x = u embed_W^T + embed_b is never formed.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != model.config.d_in:
         raise ValueError(f"expected inputs of shape (batch, time, {model.config.d_in})")
     cfg = model.config
     ws = model.workspace if reuse else None
     shape = (*inputs.shape[:2], cfg.d_model)
-    x = np.matmul(inputs, model.embed_W.T, out=_buffer(ws, "x", shape))
-    x += model.embed_b
+    # Layer 0's input is [u, 1].
+    x = _buffer(ws, "u1", (*inputs.shape[:2], cfg.d_in + 1))
+    x[..., :-1] = inputs
+    x[..., -1] = 1.0
+    E = np.concatenate([model.embed_W, model.embed_b[:, None]], axis=1)
+    if cfg.pre_scale is not None:
+        E *= cfg.pre_scale
     caches = []
     for i, layer in enumerate(model.layers):
-        if cfg.pre_scale is not None:
+        stu = _fold_embedding(layer.stu, E) if i == 0 else layer.stu
+        if i > 0 and cfg.pre_scale is not None:
             x *= cfg.pre_scale
-        y, stu_cache = _stu_layer_forward(layer.stu, bank, x, layer.workspace if reuse else None)
+        y, stu_cache = _stu_layer_forward(stu, bank, x, layer.workspace if reuse else None)
         a = np.matmul(y, layer.W_val.T, out=_buffer(ws, (i, "a"), shape))
         a += layer.b_val
         # s = 1 / (1 + exp(-(y W_gate^T + b_gate))), in place.
@@ -155,19 +191,19 @@ def _forward_cached(model: StackModel, bank: FilterBank, inputs: np.ndarray, reu
         np.exp(np.negative(s, out=s), out=s)
         s += 1.0
         np.divide(1.0, s, out=s)
-        caches.append((stu_cache, a, s))
+        caches.append((stu, stu_cache, a, s))
         x = np.multiply(a, s, out=_buffer(ws, (i, "x"), shape))
     if cfg.pooling == "mean":
         pooled = x.mean(axis=1)
     else:
         pooled = x[:, -1]
     logits = pooled @ model.readout_W.T + model.readout_b
-    return logits, x, pooled, caches
+    return logits, x, pooled, E, caches
 
 
 def stack_forward(model: StackModel, bank: FilterBank, inputs: np.ndarray) -> np.ndarray:
     """Class logits, (batch, n_classes)."""
-    logits, _, _, _ = _forward_cached(model, bank, inputs)
+    logits, _, _, _, _ = _forward_cached(model, bank, inputs)
     return logits
 
 
@@ -194,7 +230,7 @@ def stack_gradients(model: StackModel, bank: FilterBank, inputs: np.ndarray, lab
     not overlap, as they would from two threads.
     """
     labels = np.asarray(labels)
-    logits, x_final, pooled, caches = _forward_cached(model, bank, inputs, reuse=True)
+    logits, x_final, pooled, E, caches = _forward_cached(model, bank, inputs, reuse=True)
     loss, dlogits = softmax_cross_entropy(logits, labels)
     cfg, ws = model.config, model.workspace
     grads = {"readout_W": dlogits.T @ pooled, "readout_b": dlogits.sum(axis=0)}
@@ -212,7 +248,7 @@ def stack_gradients(model: StackModel, bank: FilterBank, inputs: np.ndarray, lab
         dx[:, -1] = dpooled
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        stu_cache, a, s = caches[i]
+        stu, stu_cache, a, s = caches[i]
         y = stu_cache["y"]
         da = np.multiply(dx, s, out=_buffer(ws, (i, "da"), dx.shape))
         # dz = dx a s (1 - s), in place.
@@ -226,13 +262,18 @@ def stack_gradients(model: StackModel, bank: FilterBank, inputs: np.ndarray, lab
         grads[f"layers.{i}.b_gate"] = ones @ dz.reshape(B * T, -1)
         dy = np.matmul(da, layer.W_val, out=_buffer(ws, (i, "dy"), dx.shape))
         dy += np.matmul(dz, layer.W_gate, out=tmp)
-        dx, stu_grads = spectral_backward(layer.stu, stu_cache, dy)
+        dx, stu_grads = spectral_backward(stu, stu_cache, dy)
+        if i == 0:
+            # The folded layer's input gradient, dL/d[u, 1], is not needed.
+            stu_grads, dE = _unfold_grads(layer.stu, stu_grads, E)
+        elif cfg.pre_scale is not None:
+            dx *= cfg.pre_scale
         for name, g in stu_grads.items():
             grads[f"layers.{i}.stu.{name}"] = g
-        if cfg.pre_scale is not None:
-            dx *= cfg.pre_scale
-    grads["embed_W"] = _outer_sum(dx, np.asarray(inputs, dtype=np.float64))
-    grads["embed_b"] = ones @ dx.reshape(B * T, -1)
+    if cfg.pre_scale is not None:
+        dE *= cfg.pre_scale  # E = pre_scale [embed_W | embed_b]
+    grads["embed_W"] = np.ascontiguousarray(dE[:, :-1])
+    grads["embed_b"] = dE[:, -1].copy()
     return loss, grads
 
 

@@ -159,8 +159,8 @@ def fit_stu(dataset, bank: FilterBank, K: int, k_y: int, config: TrainConfig) ->
     inputs, targets = _check_dataset(dataset)
     n, T, d_in = inputs.shape
     d_out = targets.shape[2]
-    params = StuParams.zeros(K, d_in, d_out, variant=bank.variant, k_y=k_y)
     streams = np.ascontiguousarray(layer_streams(bank, K, inputs).transpose(2, 3, 0, 1))
+    params = StuParams.zeros(K, d_in, d_out, variant=bank.variant, k_y=k_y)
 
     def loss_and_grads(idx):
         return _streams_loss_and_grads(params, streams[idx], targets[idx])

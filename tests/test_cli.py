@@ -230,6 +230,18 @@ class TestFitCommands:
         for name, arr in params.named_arrays():
             assert np.array_equal(arr, expect[name]), name
 
+    def test_fit_stu_k_zero_fits_the_taps_and_negative_k_fails(self, tmp_path, capsys):
+        from spectral_ssm import load_stu_params
+
+        assert run_cli("fit-stu", "--length", "32", "--K", "0", "--sequences", "2",
+                       "--steps", "5", "--out", str(tmp_path / "zero")) == 0
+        params = load_stu_params(tmp_path / "zero" / "params")
+        assert params.K == 0 and params.M_phi_plus.shape == (0, params.d_out, params.d_in)
+        capsys.readouterr()
+        assert run_cli("fit-stu", "--length", "32", "--K", "-1", "--sequences", "2",
+                       "--steps", "5", "--out", str(tmp_path / "negative")) == 1
+        assert "K must be non-negative, got -1" in capsys.readouterr().err
+
     def test_fit_lru_smoke(self, tmp_path):
         code = run_cli("fit-lru", "--length", "32", "--sequences", "2", "--steps", "5",
                        "--d-hidden", "4", "--out", str(tmp_path))

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import spectral_ssm
 from spectral_ssm import (
     StackConfig,
     TrainConfig,
@@ -23,6 +31,22 @@ def small_config(**kw):
     return StackConfig(**args)
 
 
+def composed_logits(model, bank, u):
+    """stack_forward written out in the time domain: the embedding, then
+    per layer pre_scale, reference_stu_outputs and the GLU, then pooling and
+    the readout."""
+    cfg = model.config
+    x = u @ model.embed_W.T + model.embed_b
+    for layer in model.layers:
+        if cfg.pre_scale is not None:
+            x = cfg.pre_scale * x
+        y = reference_stu_outputs(layer.stu, bank, x)
+        x = (y @ layer.W_val.T + layer.b_val) * (
+            1.0 / (1.0 + np.exp(-(y @ layer.W_gate.T + layer.b_gate))))
+    pooled = x.mean(axis=1) if cfg.pooling == "mean" else x[:, -1]
+    return pooled @ model.readout_W.T + model.readout_b
+
+
 class TestForward:
     def test_zero_model_gives_zero_logits(self, bank64):
         model = init_stack(small_config(), seed=0)
@@ -39,14 +63,8 @@ class TestForward:
             if "stu" in name:
                 arr += 0.2 * rng.standard_normal(arr.shape)
         u = rng.standard_normal((2, 24, 2))
-        layer = model.layers[0]
-        x = u @ model.embed_W.T + model.embed_b
-        y = reference_stu_outputs(layer.stu, bank64, x)
-        glu = (y @ layer.W_val.T + layer.b_val) * (
-            1.0 / (1.0 + np.exp(-(y @ layer.W_gate.T + layer.b_gate)))
-        )
-        expect = glu.mean(axis=1) @ model.readout_W.T + model.readout_b
-        np.testing.assert_allclose(stack_forward(model, bank64, u), expect, atol=1e-10)
+        np.testing.assert_allclose(stack_forward(model, bank64, u),
+                                   composed_logits(model, bank64, u), atol=1e-10)
 
     def test_batch_permutation_equivariance(self, bank64):
         rng = np.random.default_rng(3)
@@ -170,6 +188,50 @@ class TestGradients:
         for name, g in kept.items():
             np.testing.assert_array_equal(first[1][name], g, err_msg=name)
 
+    def test_blas_thread_count_leaves_steps_bitwise_equal(self, tmp_path):
+        # Three training steps at the train-stack task shapes, L = 256 and a
+        # batch of 64: delayed_recall (1 layer, d_model 8), parity_prefix
+        # (2 layers, d_model 16), and delayed_recall with k_y = 2 and a second
+        # layer.  Every array starts perturbed, so every layer is live from
+        # the first step.  The second layer's 8 x 8 kernel gives the
+        # (35 x 514 x 64) dM product, which rounds with OpenBLAS's thread
+        # split when it runs as one product over the interleaved real view of
+        # the spectra.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from spectral_ssm import compute_filterbank\n"
+            "from spectral_ssm.optim import Adam\n"
+            "from spectral_ssm.stack import (_TASK_DEFAULTS, StackConfig, init_stack,\n"
+            "                                make_task_dataset, stack_gradients)\n"
+            "bank = compute_filterbank(256, 16)\n"
+            "out = []\n"
+            "for task, kw in (('delayed_recall', {}), ('parity_prefix', {}),\n"
+            "                 ('delayed_recall', {'k_y': 2, 'n_layers': 2})):\n"
+            "    u, labels, _ = make_task_dataset(task, 64, 256, seed=1)\n"
+            "    model = init_stack(StackConfig(**{**_TASK_DEFAULTS[task], **kw}), seed=0)\n"
+            "    rng = np.random.default_rng(2)\n"
+            "    for _, arr in model.named_arrays():\n"
+            "        arr += 0.1 * rng.standard_normal(arr.shape)\n"
+            "    opt = Adam()\n"
+            "    for _ in range(3):\n"
+            "        loss, grads = stack_gradients(model, bank, u, labels)\n"
+            "        out += [np.array(loss)] + [grads[name] for name, _ in model.named_arrays()]\n"
+            "        opt.step(model.named_arrays(), grads, 1e-2)\n"
+            "np.savez(sys.argv[1], *out)\n"
+        )
+        path = os.pathsep.join([str(Path(spectral_ssm.__file__).parents[1]),
+                                os.environ.get("PYTHONPATH", "")])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / f"steps-{threads}.npz"
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+            runs.append(np.load(out))
+        for name in runs[0].files:
+            assert runs[0][name].tobytes() == runs[1][name].tobytes(), name
+
     def test_softmax_cross_entropy_values(self):
         logits = np.array([[0.0, 0.0], [10.0, 0.0]])
         labels = np.array([0, 0])
@@ -180,6 +242,46 @@ class TestGradients:
         # A certain prediction costs +0.0, not -0.0.
         loss, _ = softmax_cross_entropy(np.array([[800.0, 0.0]]), np.array([0]))
         assert loss == 0.0 and not np.signbit(loss)
+
+
+FOLD_L = 8
+FOLD_BANK = compute_filterbank(FOLD_L, 2)
+
+
+class TestEmbeddingFold:
+    # Layer 0 convolves [u, 1] with its kernel composed with the embedding;
+    # the oracle forms the embedding in the time domain.  T = 1 and 2 leave
+    # the spectral term empty, T = 3 gives it one lag, T = L reaches the last.
+    @given(n_layers=st.sampled_from([1, 2]), k_y=st.sampled_from([0, 1, 2]),
+           d_in=st.sampled_from([1, 3]), pooling=st.sampled_from(["mean", "last"]),
+           pre_scale=st.sampled_from([None, 0.5]), T=st.sampled_from([1, 2, 3, FOLD_L]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=12)
+    @example(n_layers=1, k_y=0, d_in=1, pooling="last", pre_scale=None, T=FOLD_L, seed=0)
+    @example(n_layers=2, k_y=1, d_in=3, pooling="mean", pre_scale=0.5, T=1, seed=1)
+    @example(n_layers=1, k_y=2, d_in=3, pooling="mean", pre_scale=0.5, T=2, seed=2)
+    @example(n_layers=2, k_y=2, d_in=1, pooling="last", pre_scale=None, T=3, seed=3)
+    @example(n_layers=2, k_y=0, d_in=3, pooling="last", pre_scale=0.5, T=FOLD_L, seed=4)
+    @example(n_layers=1, k_y=1, d_in=1, pooling="mean", pre_scale=None, T=FOLD_L, seed=5)
+    def test_matches_time_domain_composition_and_central_differences(
+            self, n_layers, k_y, d_in, pooling, pre_scale, T, seed):
+        cfg = StackConfig(n_layers=n_layers, d_model=3, K=2, k_y=k_y, d_in=d_in, n_classes=2,
+                          pooling=pooling, pre_scale=pre_scale)
+        rng = np.random.default_rng(seed)
+        model = init_stack(cfg, seed=seed)
+        for _, arr in model.named_arrays():
+            arr += 0.2 * rng.standard_normal(arr.shape)
+        u = rng.standard_normal((2, T, d_in))
+        labels = rng.integers(0, 2, size=2)
+        ref = composed_logits(model, FOLD_BANK, u)
+        assert np.abs(stack_forward(model, FOLD_BANK, u) - ref).max() <= 1e-10 * np.abs(ref).max()
+        _, grads = stack_gradients(model, FOLD_BANK, u, labels)
+        worst = fd_gradcheck(
+            lambda: stack_gradients(model, FOLD_BANK, u, labels)[0],
+            list(model.named_arrays()),
+            grads,
+        )
+        assert worst <= 1e-5
 
 
 class TestTasks:

@@ -186,7 +186,7 @@ cli.command_class = RunCommand
 @cli.command("gen-filters")
 @click.option("--L", "L", type=int, default=256, show_default=True)
 @click.option("--K", "K", type=int, default=24, show_default=True)
-@click.option("--variant", type=click.Choice(["primary", "alternative"]), default="primary")
+@click.option("--variant", type=click.Choice([v.value for v in fb.HankelVariant]), default="primary")
 def gen_filters(run, L, K, variant, **_):
     """Compute a filter bank and write it to the output directory."""
     fb.save_filterbank(fb.compute_filterbank(L, K, fb.HankelVariant(variant)), run.out)
@@ -217,7 +217,7 @@ def simulate_lds_cmd(run, fixture, length, batch, seed, **_):
 @click.option("--K", "K", type=IntList(), default="8,16,24", show_default=True,
               help="Comma list of filter counts.")
 @click.option("--d-max", type=int, default=16, show_default=True)
-@click.option("--variant", type=click.Choice(["primary", "alternative"]), default="primary")
+@click.option("--variant", type=click.Choice([v.value for v in fb.HankelVariant]), default="primary")
 def verify_theorem(run, systems, L, K, d_max, variant, seed, **_):
     """Constructive approximation check over random symmetric systems."""
     bank = fb.compute_filterbank(L, max(K), fb.HankelVariant(variant))
@@ -355,8 +355,7 @@ def sweep_k(run, fixture, K, length, sequences, noise_std, method, seed, **_):
 
 
 @cli.command("train-stack")
-@click.option("--task", type=click.Choice(["delayed_recall", "parity_prefix", "noisy_lds_class"]),
-              default="delayed_recall", show_default=True)
+@click.option("--task", type=click.Choice(stack.TASKS), default="delayed_recall", show_default=True)
 @click.option("--length", type=int, default=256, show_default=True)
 @click.option("--steps", type=int, default=800, show_default=True)
 @click.option("--lr", type=float, default=2e-2, show_default=True)

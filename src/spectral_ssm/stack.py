@@ -4,8 +4,7 @@ and GLU nonlinearities, time pooling, linear readout.
 Gradients are reverse-mode over this fixed operator set (linear maps,
 convolution by constant filters, GLU, pooling, softmax cross-entropy) rather
 than a general tape; every parameter gradient is finite-difference checkable.
-No normalization layers by default; an optional constant pre-layer scale
-exists for ablations.
+No normalization layers.
 
 The embedding is folded into the first layer's kernel: that layer transforms
 [u, 1], d_in + 1 channels, with its matrices composed with
@@ -17,6 +16,7 @@ gradients.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .stu import StuParams, _buffer, _outer_sum, spectral_backward, split_m, sta
 from .stu import spectral_forward as _stu_layer_forward
 from .trainer import TrainConfig, TrainReport, train
 
-TASKS = ("delayed_recall", "parity_prefix", "noisy_lds_class")
-
 
 @dataclass
 class StackConfig:
@@ -40,7 +38,9 @@ class StackConfig:
     d_in: int = 1
     n_classes: int = 2
     pooling: str = "mean"  # "mean" | "last"
-    pre_scale: float | None = None  # constant multiplier on each layer input
+    # Not a setting: no layer input is rescaled.  Only perfbench's
+    # reference_logits reads it, until the next benchmark change.
+    pre_scale: ClassVar[None] = None
 
     def __post_init__(self):
         if self.n_layers < 1 or self.d_model < 1:
@@ -56,8 +56,6 @@ class StackLayer:
     b_val: np.ndarray
     W_gate: np.ndarray
     b_gate: np.ndarray
-    # The layer kernel's large arrays, reused by every stack_gradients step.
-    workspace: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -68,8 +66,8 @@ class StackModel:
     layers: list[StackLayer]
     readout_W: np.ndarray  # (n_classes, d_model)
     readout_b: np.ndarray
-    # The step's activations and their gradients, keyed (layer, name) and
-    # reused by every stack_gradients step; the layers keep their kernel's.
+    # The step's large arrays, keyed (layer, name) and reused by every
+    # stack_gradients step; (i, "stu") holds layer i's kernel workspace.
     workspace: dict = field(default_factory=dict, repr=False, compare=False)
 
     def named_arrays(self):
@@ -100,6 +98,8 @@ def load_stack(directory) -> StackModel:
     meta, arrays = load_arrays(directory)
     if meta.get("kind") != "stack_checkpoint":
         raise ValueError(f"not a stack checkpoint: {directory}")
+    if meta.get("pre_scale") is not None:
+        raise ValueError(f"pre_scale={meta['pre_scale']!r} is no longer applied: {directory}")
     model = init_stack(StackConfig(**{f.name: meta[f.name] for f in fields(StackConfig)}), seed=0)
     for name, arr in model.named_arrays():
         arr[:] = arrays[name]
@@ -111,8 +111,9 @@ _INIT_SCALE = 0.5
 
 
 def init_stack(config: StackConfig, seed: int = 0) -> StackModel:
-    """Spectral matrices start at zero; the surrounding linear maps get small
-    Gaussian weights so gradients reach every layer from the first step."""
+    """Small Gaussian linear maps and zero spectral matrices, except a small
+    Gaussian lag-0 tap M_u[0], drawn last, on each layer after the first, so
+    gradients reach every layer from the first step."""
     rng = np.random.default_rng(seed)
     d = config.d_model
     layers = []
@@ -126,7 +127,7 @@ def init_stack(config: StackConfig, seed: int = 0) -> StackModel:
                 b_gate=np.zeros(d),
             )
         )
-    return StackModel(
+    model = StackModel(
         config=config,
         embed_W=rng.standard_normal((d, config.d_in)) / np.sqrt(config.d_in),
         embed_b=np.zeros(d),
@@ -134,6 +135,9 @@ def init_stack(config: StackConfig, seed: int = 0) -> StackModel:
         readout_W=_INIT_SCALE * rng.standard_normal((config.n_classes, d)) / np.sqrt(d),
         readout_b=np.zeros(config.n_classes),
     )
+    for layer in layers[1:]:
+        layer.stu.M_u[0] = _INIT_SCALE * rng.standard_normal((d, d)) / np.sqrt(d)
+    return model
 
 
 def _fold_embedding(stu: StuParams, E: np.ndarray) -> StuParams:
@@ -155,14 +159,14 @@ def _unfold_grads(stu: StuParams, folded: dict, E: np.ndarray):
 def _forward_cached(model: StackModel, bank: FilterBank, inputs: np.ndarray, reuse: bool = False):
     """Logits, the last activations, the pooled features, the embedding
     matrix E and each layer's (kernel params, kernel cache, a, s).  With
-    reuse the large arrays come from the model's workspaces, so they live
+    reuse the large arrays come from the model's workspace, so they live
     until the next reusing call.
 
     The embedding is linear and the STU is a convolution by fixed filters
     followed by a linear map, so the embedding folds into the first layer's
     kernel: layer 0 transforms [u, 1] (d_in + 1 channels) with the params
-    _fold_embedding composes with E = [embed_W | embed_b] (times pre_scale),
-    and x = u embed_W^T + embed_b is never formed.
+    _fold_embedding composes with E = [embed_W | embed_b], and
+    x = u embed_W^T + embed_b is never formed.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != model.config.d_in:
@@ -175,20 +179,18 @@ def _forward_cached(model: StackModel, bank: FilterBank, inputs: np.ndarray, reu
     x[..., :-1] = inputs
     x[..., -1] = 1.0
     E = np.concatenate([model.embed_W, model.embed_b[:, None]], axis=1)
-    if cfg.pre_scale is not None:
-        E *= cfg.pre_scale
     caches = []
     for i, layer in enumerate(model.layers):
         stu = _fold_embedding(layer.stu, E) if i == 0 else layer.stu
-        if i > 0 and cfg.pre_scale is not None:
-            x *= cfg.pre_scale
-        y, stu_cache = _stu_layer_forward(stu, bank, x, layer.workspace if reuse else None)
+        stu_ws = None if ws is None else ws.setdefault((i, "stu"), {})
+        y, stu_cache = _stu_layer_forward(stu, bank, x, stu_ws)
         a = np.matmul(y, layer.W_val.T, out=_buffer(ws, (i, "a"), shape))
         a += layer.b_val
         # s = 1 / (1 + exp(-(y W_gate^T + b_gate))), in place.
         s = np.matmul(y, layer.W_gate.T, out=_buffer(ws, (i, "s"), shape))
         s += layer.b_gate
-        np.exp(np.negative(s, out=s), out=s)
+        with np.errstate(over="ignore"):  # a saturated gate's exp overflows to s = 0
+            np.exp(np.negative(s, out=s), out=s)
         s += 1.0
         np.divide(1.0, s, out=s)
         caches.append((stu, stu_cache, a, s))
@@ -224,7 +226,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 def stack_gradients(model: StackModel, bank: FilterBank, inputs: np.ndarray, labels: np.ndarray):
     """Softmax cross-entropy loss and gradients for every model array.
 
-    The step's large arrays live in the model's workspaces and are reused by
+    The step's large arrays live in the model's workspace and are reused by
     the next call, so a steady-state step allocates nothing large; the
     returned gradients are fresh arrays.  Calls on one model must therefore
     not overlap, as they would from two threads.
@@ -232,7 +234,7 @@ def stack_gradients(model: StackModel, bank: FilterBank, inputs: np.ndarray, lab
     labels = np.asarray(labels)
     logits, x_final, pooled, E, caches = _forward_cached(model, bank, inputs, reuse=True)
     loss, dlogits = softmax_cross_entropy(logits, labels)
-    cfg, ws = model.config, model.workspace
+    ws = model.workspace
     grads = {"readout_W": dlogits.T @ pooled, "readout_b": dlogits.sum(axis=0)}
     dpooled = dlogits @ model.readout_W
     B, T, _ = x_final.shape
@@ -242,7 +244,7 @@ def stack_gradients(model: StackModel, bank: FilterBank, inputs: np.ndarray, lab
     ones.fill(1.0)
     dx = _buffer(ws, "dx", x_final.shape)
     dx.fill(0.0)
-    if cfg.pooling == "mean":
+    if model.config.pooling == "mean":
         dx += dpooled[:, None, :] / T
     else:
         dx[:, -1] = dpooled
@@ -266,12 +268,8 @@ def stack_gradients(model: StackModel, bank: FilterBank, inputs: np.ndarray, lab
         if i == 0:
             # The folded layer's input gradient, dL/d[u, 1], is not needed.
             stu_grads, dE = _unfold_grads(layer.stu, stu_grads, E)
-        elif cfg.pre_scale is not None:
-            dx *= cfg.pre_scale
         for name, g in stu_grads.items():
             grads[f"layers.{i}.stu.{name}"] = g
-    if cfg.pre_scale is not None:
-        dE *= cfg.pre_scale  # E = pre_scale [embed_W | embed_b]
     grads["embed_W"] = np.ascontiguousarray(dE[:, :-1])
     grads["embed_b"] = dE[:, -1].copy()
     return loss, grads
@@ -327,6 +325,7 @@ _TASK_DEFAULTS = {
     "parity_prefix": dict(n_layers=2, d_model=16, K=16, pooling="mean"),
     "noisy_lds_class": dict(n_layers=2, d_model=16, K=16, pooling="mean"),
 }
+TASKS = tuple(_TASK_DEFAULTS)
 
 
 _EVAL_BATCH = 256  # examples per forward pass in evaluate

@@ -20,7 +20,10 @@ from spectral_ssm import (
     stack_gradients,
     train_stack,
 )
-from spectral_ssm.stack import evaluate, softmax_cross_entropy, train_on_dataset
+from spectral_ssm.container import load_arrays, save_arrays
+from spectral_ssm.optim import Adam
+from spectral_ssm.stack import (TASKS, _TASK_DEFAULTS, evaluate, load_stack, save_stack,
+                                softmax_cross_entropy, train_on_dataset)
 
 from conftest import fd_gradcheck, reference_stu_outputs
 
@@ -33,18 +36,27 @@ def small_config(**kw):
 
 def composed_logits(model, bank, u):
     """stack_forward written out in the time domain: the embedding, then
-    per layer pre_scale, reference_stu_outputs and the GLU, then pooling and
-    the readout."""
+    per layer reference_stu_outputs and the GLU, then pooling and the
+    readout."""
     cfg = model.config
     x = u @ model.embed_W.T + model.embed_b
     for layer in model.layers:
-        if cfg.pre_scale is not None:
-            x = cfg.pre_scale * x
         y = reference_stu_outputs(layer.stu, bank, x)
         x = (y @ layer.W_val.T + layer.b_val) * (
             1.0 / (1.0 + np.exp(-(y @ layer.W_gate.T + layer.b_gate))))
     pooled = x.mean(axis=1) if cfg.pooling == "mean" else x[:, -1]
     return pooled @ model.readout_W.T + model.readout_b
+
+
+def workspace_arrays(ws):
+    """Each array of a workspace, by key, the nested kernel workspaces' too."""
+    out = {}
+    for key, v in ws.items():
+        if isinstance(v, dict):
+            out.update({(key, k): a for k, a in workspace_arrays(v).items()})
+        else:
+            out[key] = v
+    return out
 
 
 class TestForward:
@@ -165,7 +177,9 @@ class TestGradients:
         # step may read what an earlier one left there, or write into the
         # gradients an earlier one returned.  Batch c has a's batch size and a
         # shorter length with the same FFT length, so it reuses a's padded
-        # buffers over a's longer data.
+        # buffers over a's longer data.  A stack_forward on batch d, of
+        # another batch size, between two steps must leave every workspace
+        # array in place, and its logits must survive the later steps.
         def make():
             rng = np.random.default_rng(20)
             model = init_stack(small_config(n_layers=n_layers, pooling=pooling, k_y=k_y), seed=21)
@@ -176,9 +190,14 @@ class TestGradients:
         rng = np.random.default_rng(22)
         a, b, c = ((rng.standard_normal((n, T, 2)), rng.integers(0, 3, n))
                    for n, T in ((3, 24), (5, 20), (3, 20)))
+        d = rng.standard_normal((4, 24, 2))
         model = make()
         first = stack_gradients(model, bank64, *a)
         kept = {name: g.copy() for name, g in first[1].items()}
+        held = workspace_arrays(model.workspace)
+        logits = stack_forward(model, bank64, d)
+        after = workspace_arrays(model.workspace)
+        assert after.keys() == held.keys() and all(after[k] is held[k] for k in held)
         for batch, (loss, grads) in zip((a, b, a, c), [first] + [
                 stack_gradients(model, bank64, *batch) for batch in (b, a, c)]):
             fresh_loss, fresh = stack_gradients(make(), bank64, *batch)
@@ -187,16 +206,17 @@ class TestGradients:
                 np.testing.assert_array_equal(grads[name], g, err_msg=name)
         for name, g in kept.items():
             np.testing.assert_array_equal(first[1][name], g, err_msg=name)
+        np.testing.assert_array_equal(logits, stack_forward(make(), bank64, d))
 
     def test_blas_thread_count_leaves_steps_bitwise_equal(self, tmp_path):
         # Three training steps at the train-stack task shapes, L = 256 and a
         # batch of 64: delayed_recall (1 layer, d_model 8), parity_prefix
         # (2 layers, d_model 16), and delayed_recall with k_y = 2 and a second
-        # layer.  Every array starts perturbed, so every layer is live from
-        # the first step.  The second layer's 8 x 8 kernel gives the
-        # (35 x 514 x 64) dM product, which rounds with OpenBLAS's thread
-        # split when it runs as one product over the interleaved real view of
-        # the spectra.
+        # layer.  Every array starts perturbed, so every array, not only a
+        # second layer's lag-0 tap, is nonzero from the first step.  The
+        # second layer's 8 x 8 kernel gives the (35 x 514 x 64) dM product,
+        # which rounds with OpenBLAS's thread split when it runs as one
+        # product over the interleaved real view of the spectra.
         script = (
             "import sys\n"
             "import numpy as np\n"
@@ -232,6 +252,24 @@ class TestGradients:
         for name in runs[0].files:
             assert runs[0][name].tobytes() == runs[1][name].tobytes(), name
 
+    @pytest.mark.parametrize("task", TASKS)
+    def test_every_stu_layer_trains_from_init(self, task):
+        # From an unperturbed init_stack, layer 0's STU gets a gradient at
+        # the first step through the next layer's lag-0 tap, and a next
+        # layer's at the second, once layer 0 has moved and passes it input.
+        L = 32
+        u, labels, n_classes = make_task_dataset(task, 16, L, seed=0)
+        cfg = StackConfig(**_TASK_DEFAULTS[task], n_classes=n_classes)
+        bank = compute_filterbank(L, cfg.K)
+        model = init_stack(cfg, seed=0)
+        opt = Adam()
+        live = set()
+        for _ in range(2):
+            _, grads = stack_gradients(model, bank, u, labels)
+            live |= {name for name, g in grads.items() if ".stu." in name and np.any(g)}
+            opt.step(model.named_arrays(), grads, 1e-2)
+        assert live == {name for name, _ in model.named_arrays() if ".stu." in name}
+
     def test_softmax_cross_entropy_values(self):
         logits = np.array([[0.0, 0.0], [10.0, 0.0]])
         labels = np.array([0, 0])
@@ -254,19 +292,18 @@ class TestEmbeddingFold:
     # the spectral term empty, T = 3 gives it one lag, T = L reaches the last.
     @given(n_layers=st.sampled_from([1, 2]), k_y=st.sampled_from([0, 1, 2]),
            d_in=st.sampled_from([1, 3]), pooling=st.sampled_from(["mean", "last"]),
-           pre_scale=st.sampled_from([None, 0.5]), T=st.sampled_from([1, 2, 3, FOLD_L]),
-           seed=st.integers(0, 2**16))
+           T=st.sampled_from([1, 2, 3, FOLD_L]), seed=st.integers(0, 2**16))
     @settings(max_examples=12)
-    @example(n_layers=1, k_y=0, d_in=1, pooling="last", pre_scale=None, T=FOLD_L, seed=0)
-    @example(n_layers=2, k_y=1, d_in=3, pooling="mean", pre_scale=0.5, T=1, seed=1)
-    @example(n_layers=1, k_y=2, d_in=3, pooling="mean", pre_scale=0.5, T=2, seed=2)
-    @example(n_layers=2, k_y=2, d_in=1, pooling="last", pre_scale=None, T=3, seed=3)
-    @example(n_layers=2, k_y=0, d_in=3, pooling="last", pre_scale=0.5, T=FOLD_L, seed=4)
-    @example(n_layers=1, k_y=1, d_in=1, pooling="mean", pre_scale=None, T=FOLD_L, seed=5)
+    @example(n_layers=1, k_y=0, d_in=1, pooling="last", T=FOLD_L, seed=0)
+    @example(n_layers=2, k_y=1, d_in=3, pooling="mean", T=1, seed=1)
+    @example(n_layers=1, k_y=2, d_in=3, pooling="mean", T=2, seed=2)
+    @example(n_layers=2, k_y=2, d_in=1, pooling="last", T=3, seed=3)
+    @example(n_layers=2, k_y=0, d_in=3, pooling="last", T=FOLD_L, seed=4)
+    @example(n_layers=1, k_y=1, d_in=1, pooling="mean", T=FOLD_L, seed=5)
     def test_matches_time_domain_composition_and_central_differences(
-            self, n_layers, k_y, d_in, pooling, pre_scale, T, seed):
+            self, n_layers, k_y, d_in, pooling, T, seed):
         cfg = StackConfig(n_layers=n_layers, d_model=3, K=2, k_y=k_y, d_in=d_in, n_classes=2,
-                          pooling=pooling, pre_scale=pre_scale)
+                          pooling=pooling)
         rng = np.random.default_rng(seed)
         model = init_stack(cfg, seed=seed)
         for _, arr in model.named_arrays():
@@ -371,19 +408,29 @@ class TestTraining:
         assert 0.3 <= held <= 0.7
 
     def test_checkpoint_round_trip(self, tmp_path, bank64):
-        from spectral_ssm.stack import load_stack, save_stack
-
         rng = np.random.default_rng(12)
         model = init_stack(small_config(k_y=1, pooling="last"), seed=13)
         for name, arr in model.named_arrays():
             arr += 0.1 * rng.standard_normal(arr.shape)
-        save_stack(model, tmp_path / "ckpt")
-        loaded = load_stack(tmp_path / "ckpt")
-        assert loaded.config == model.config
+        meta, arrays = load_arrays(save_stack(model, tmp_path / "ckpt"))
+        assert "pre_scale" not in meta
+        # Checkpoints written while pre_scale was a setting carry
+        # "pre_scale": null and load as before; one that sets it asks for a
+        # rescaling no stack applies, so it must not load.
+        save_arrays(tmp_path / "old", {**meta, "pre_scale": None}, arrays)
         u = rng.standard_normal((2, 20, 2))
-        np.testing.assert_array_equal(
-            stack_forward(loaded, bank64, u), stack_forward(model, bank64, u)
-        )
+        for directory in ("ckpt", "old"):
+            loaded = load_stack(tmp_path / directory)
+            assert loaded.config == model.config
+            np.testing.assert_array_equal(
+                stack_forward(loaded, bank64, u), stack_forward(model, bank64, u)
+            )
+        with pytest.raises(ValueError, match="pre_scale"):
+            load_stack(save_arrays(tmp_path / "scaled", {**meta, "pre_scale": 0.5}, arrays))
+
+    def test_pre_scale_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            small_config(pre_scale=0.5)
 
     def test_train_stack_delay_zero_fast(self):
         tc = TrainConfig(learning_rate=1e-2, steps=250, batch_size=32, seed=0,
